@@ -1,6 +1,6 @@
 PYTHON ?= python
 ARTIFACTS ?= artifacts
-# Allowed fractional events/sec drop before perf-check fails (0.15
+# Allowed fractional sim-bytes/sec drop before perf-check fails (0.15
 # locally; CI's perf-smoke job loosens it to 0.25 for shared runners).
 PERF_THRESHOLD ?= 0.15
 
@@ -28,7 +28,7 @@ verify-fsm:
 
 # Hot-path performance gate (DESIGN.md §9): times the fig06/fig07
 # scenario mixes, hard-fails on deterministic-counter drift, and fails
-# past PERF_THRESHOLD on events/sec regressions vs the committed
+# past PERF_THRESHOLD on sim-bytes/sec regressions vs the committed
 # baseline. Refreshes BENCH_hotpath.json at the repo root. After a
 # deliberate perf change: PYTHONPATH=src python -m repro.bench.perfgate
 # --rebaseline, and commit the baseline diff.

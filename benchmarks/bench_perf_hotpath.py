@@ -1,9 +1,9 @@
 """Hot-path wall-clock performance benchmark (the perf-gate's scenarios).
 
 Unlike the figure benchmarks, which validate *what* the simulation
-computes, this one tracks *how fast* it computes it: events/sec and
-simulated-bytes/sec for the fig06 bandwidth mix and the fig07 loss mix.
-It refreshes the repo-root ``BENCH_hotpath.json`` (before = the seed
+computes, this one tracks *how fast* it computes it: simulated bytes
+per wall second (events/sec is shown alongside) for the fig06 bandwidth
+mix and the fig07 loss mix.  It refreshes the repo-root ``BENCH_hotpath.json`` (before = the seed
 snapshot committed in the baseline, after = this run) and re-checks the
 determinism contract: the deterministic counters of every scenario must
 match the committed baseline exactly — wall time may wobble with the
@@ -52,6 +52,6 @@ def test_perf_hotpath(benchmark):
             )
 
     # The headline claim the BENCH trajectory records: the hot-path work
-    # bought >= 1.3x on the bandwidth scenario over the seed tree.
+    # bought >= 1.3x sim-bytes/sec on both scenarios over the seed tree.
     assert doc["speedup"]["fig06_bandwidth"] >= 1.3
     assert doc["speedup"]["fig07_loss"] >= 1.3

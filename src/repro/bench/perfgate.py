@@ -3,10 +3,10 @@
 The figure benchmarks answer "does the model reproduce the paper?";
 this module answers "is the software fast enough to keep doing so?".
 It times two canonical scenarios — the fig06 bandwidth mix and the
-fig07 loss mix — and reports **events per second of wall time** and
-**simulated bytes per second of wall time**, the two rates every
-hot-path optimization (timer pooling, zero-copy segmentation, batched
-ACKs, NIC batch dequeue) is supposed to move.
+fig07 loss mix — and gates on **simulated bytes per second of wall
+time**.  Events per second is reported too, but not gated: an engine
+change that does the same simulated work with fewer events would read
+as a regression there.
 
 Two kinds of regression are distinguished:
 
@@ -15,10 +15,10 @@ Two kinds of regression are distinguished:
   from the committed baseline.  These are machine-independent; any
   drift means behaviour changed and the gate fails hard, regardless of
   timing.
-* **Throughput regression** — events/sec fell more than ``threshold``
-  below the committed baseline.  Timing is machine- and load-dependent,
-  so this check uses a tolerance (15 % locally, looser in CI) and can
-  be re-baselined deliberately with ``--rebaseline``.
+* **Throughput regression** — simulated bytes/sec fell more than
+  ``threshold`` below the committed baseline.  Timing is machine- and
+  load-dependent, so this check uses a tolerance (15 % locally, looser
+  in CI) and can be re-baselined deliberately with ``--rebaseline``.
 
 CLI::
 
@@ -55,7 +55,7 @@ BASELINE_PATH = Path(__file__).resolve().parents[3] / "benchmarks" / "baselines"
 #: Default BENCH output at the repo root.
 BENCH_PATH = Path(__file__).resolve().parents[3] / "BENCH_hotpath.json"
 
-#: Default allowed fractional drop in events/sec before the gate fails.
+#: Default allowed fractional drop in sim-bytes/sec before the gate fails.
 DEFAULT_THRESHOLD = 0.15
 
 #: Counters that must be bit-identical run to run and machine to machine.
@@ -191,11 +191,11 @@ def check_against_baseline(
                     f"(baseline {base[field]}, current {cur[field]}) — "
                     "simulation behaviour changed"
                 )
-        floor = base["events_per_sec"] * (1.0 - threshold)
-        if cur["events_per_sec"] < floor:
+        floor = base["sim_bytes_per_sec"] * (1.0 - threshold)
+        if cur["sim_bytes_per_sec"] < floor:
             failures.append(
-                f"{name}: {cur['events_per_sec']:.0f} events/s is below "
-                f"{floor:.0f} (baseline {base['events_per_sec']:.0f} "
+                f"{name}: {cur['sim_bytes_per_sec'] / 1e6:.2f} sim-MB/s is below "
+                f"{floor / 1e6:.2f} (baseline {base['sim_bytes_per_sec'] / 1e6:.2f} "
                 f"- {threshold:.0%} tolerance)"
             )
     return failures
@@ -224,19 +224,19 @@ def write_bench(
 ) -> Dict[str, Any]:
     """Write the repo-root BENCH row: the pre-optimization ``seed``
     rows (before), the rows just measured (after), and the
-    per-scenario events/sec speedup."""
+    per-scenario sim-bytes/sec speedup."""
     baseline = baseline or {}
     # "Before" is the seed snapshot when present; a freshly created
     # baseline with no history falls back to the gate reference.
     before = baseline.get("seed") or baseline.get("scenarios", {})
     speedup = {
-        name: round(cur["events_per_sec"] / before[name]["events_per_sec"], 3)
+        name: round(cur["sim_bytes_per_sec"] / before[name]["sim_bytes_per_sec"], 3)
         for name, cur in current.items()
-        if name in before and before[name].get("events_per_sec")
+        if name in before and before[name].get("sim_bytes_per_sec")
     }
     doc = {
         "bench": "hotpath",
-        "unit": "events_per_sec",
+        "unit": "sim_bytes_per_sec",
         "before": before,
         "after": current,
         "speedup": speedup,
@@ -254,12 +254,13 @@ def write_bench(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.perfgate",
-        description="Hot-path performance gate (events/sec, sim-bytes/sec).",
+        description="Hot-path performance gate on simulated bytes per wall "
+                    "second (events/sec is reported, not gated).",
     )
     parser.add_argument("--best-of", type=int, default=3,
                         help="repetitions per scenario; fastest wins (default 3)")
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                        help="allowed fractional events/sec drop (default 0.15)")
+                        help="allowed fractional sim-bytes/sec drop (default 0.15)")
     parser.add_argument("--baseline", type=Path, default=BASELINE_PATH,
                         help="baseline JSON to gate against")
     parser.add_argument("--output", type=Path, default=BENCH_PATH,

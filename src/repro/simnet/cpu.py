@@ -43,14 +43,7 @@ class CpuResource:
         A zero-cost submission still round-trips through the event queue
         (after any queued work) to preserve ordering.
         """
-        cost_ns = int(cost_ns)
-        if cost_ns < 0:
-            raise ValueError(f"negative CPU cost: {cost_ns}")
-        start = max(self.sim.now, self._free_at)
-        done = start + cost_ns
-        self._free_at = done
-        self.busy_ns += cost_ns
-        self.work_items += 1
+        done = self.charge(cost_ns)
         # Fire-and-forget: completion callbacks are never cancelled, so
         # the recyclable-event fast path applies (this is the hottest
         # allocation site in the bandwidth benchmarks).
@@ -58,9 +51,20 @@ class CpuResource:
         return done
 
     def charge(self, cost_ns: int) -> int:
-        """Charge CPU time with no completion callback (fire-and-forget
-        accounting, e.g. interrupt overhead that delays later work)."""
-        return self.submit(cost_ns, _noop)
+        """Charge CPU time with no completion callback (e.g. interrupt
+        overhead that delays later work).  Nothing is scheduled: the
+        cost only advances the time at which later work can start.
+
+        Returns the absolute simulated time at which the charge ends.
+        """
+        cost_ns = int(cost_ns)
+        if cost_ns < 0:
+            raise ValueError(f"negative CPU cost: {cost_ns}")
+        done = max(self.sim.now, self._free_at) + cost_ns
+        self._free_at = done
+        self.busy_ns += cost_ns
+        self.work_items += 1
+        return done
 
     @property
     def free_at(self) -> int:
@@ -72,7 +76,3 @@ class CpuResource:
         if elapsed_ns <= 0:
             return 0.0
         return min(1.0, self.busy_ns / elapsed_ns)
-
-
-def _noop() -> None:
-    return None

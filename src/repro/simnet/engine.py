@@ -25,8 +25,9 @@ Hot-path notes
 --------------
 
 The heap stores ``(time, seq, event)`` tuples so ordering is decided by
-C-level integer comparisons — ``Event.__lt__`` is never consulted by the
-event loop (``seq`` is unique, so comparison never reaches the event).
+C-level integer comparisons (``seq`` is unique, so comparison never
+reaches the event).  :meth:`Simulator.run_until` runs its own pop/fire
+loop rather than re-entering :meth:`Simulator.run` once per event.
 
 Cancellation is *lazy*: :meth:`Event.cancel` marks a tombstone that the
 run loop discards when popped.  A dead-entry counter triggers an in-place
@@ -43,6 +44,7 @@ are recycled through a free list.  Handles returned by ``schedule``/
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 # Convenient time-unit multipliers (all in nanoseconds).
@@ -97,9 +99,6 @@ class Event:
         sim = self._sim
         if sim is not None:
             sim._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -378,19 +377,60 @@ class Simulator:
         """Run until ``fut`` resolves; returns its value.
 
         Raises :class:`SimulationError` if the event queue drains (or the
-        optional time ``limit`` passes) first — that always indicates a
-        deadlock in the experiment being simulated.
+        next live event lies past the optional time ``limit``) first —
+        that always indicates a deadlock in the experiment being
+        simulated.  Cancelled entries at the head of the heap are
+        discarded before the limit is checked.
         """
+        heap = self._heap
+        heappop = heapq.heappop
+        free = self._free
         while not fut.done:
-            if not self._heap:
-                raise SimulationError("event queue drained before future resolved")
-            if limit is not None and self._heap[0][0] > limit:
-                raise SimulationError(f"future unresolved at time limit {limit}")
-            self.run(max_events=1)
-        # Drain the zero-delay resumption cascade so callers observe a
-        # settled state (e.g. process bookkeeping done at the same instant).
+            if not heap:
+                raise SimulationError(
+                    "event queue drained before future resolved"
+                    + self._stall_context(limit)
+                )
+            entry = heap[0]
+            ev = entry[2]
+            if ev.cancelled:
+                heappop(heap)
+                self._dead -= 1
+                continue
+            if limit is not None and entry[0] > limit:
+                raise SimulationError(
+                    f"future unresolved at time limit {limit}"
+                    + self._stall_context(limit)
+                )
+            heappop(heap)
+            self.now = entry[0]
+            ev._sim = None
+            fn = ev.fn
+            args = ev.args
+            if ev._recyclable and len(free) < _FREE_LIST_MAX:
+                ev.fn = _noop
+                ev.args = ()
+                free.append(ev)
+            fn(*args)
+            self.events_processed += 1
         return fut.value
+
+    def _stall_context(self, limit: Optional[int]) -> str:
+        """Describe the queue for a :meth:`run_until` deadlock error: the
+        clock, the limit, and the most common pending callbacks."""
+        live = [entry[2] for entry in self._heap if not entry[2].cancelled]
+        top = Counter(_qualname(ev.fn) for ev in live).most_common(5)
+        callbacks = ", ".join(f"{name} x{count}" for name, count in top)
+        return (
+            f" (now={self.now}, limit={limit}, {len(live)} live pending events"
+            + (f"; most common: {callbacks})" if callbacks else ")")
+        )
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return sum(1 for entry in self._heap if not entry[2].cancelled)
+
+
+def _qualname(fn: Callable[..., None]) -> str:
+    """Qualified name of a scheduled callback, for diagnostics."""
+    return getattr(fn, "__qualname__", None) or type(fn).__qualname__

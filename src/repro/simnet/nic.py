@@ -7,10 +7,21 @@ explicitly:
 1. the protocol stack enqueues a frame (drop-tail if the queue is full,
    loss-model drop if one is attached — both before any wire time is
    spent, like ``tc``);
-2. when the transmitter is idle the head frame is serialized for
+2. an admitted frame's transmit schedule is fixed on the spot: the
+   transmitter serializes frames back to back in admission order, so
+   serialization starts at ``max(now, tx_free_at)`` and takes
    ``wire_size * 8 / bandwidth``;
-3. after propagation delay the frame arrives at the link peer's
-   ``on_frame``.
+3. the frame's arrival at the link peer (serialization finish plus
+   propagation delay) is scheduled at admission — one engine event per
+   frame per hop.
+
+The FIFO is represented by the serialization start times of the frames
+that have not started yet.  **Tie rule:** a frame leaves the FIFO at the
+instant its serialization starts, so an admission at that same
+nanosecond already sees it gone.  Because the schedule is fixed at
+admission, ``tx_frames``/``tx_bytes``, the link counters and the
+tracer's ``"tx"`` record are taken when a frame is admitted, not when
+its serialization finishes.
 
 Reception is passive: arriving frames are handed to the owner (host or
 switch) immediately; receive-side CPU costs are charged by the protocol
@@ -33,10 +44,6 @@ from .packet import Frame
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .faults import FaultModel
 
-#: Maximum number of back-to-back frames whose serialization-finish
-#: events are scheduled in one go when the transmitter wakes up.
-TX_BATCH = 8
-
 
 class NicPort:
     """One port: egress queue + transmitter + attachment to a link."""
@@ -57,9 +64,10 @@ class NicPort:
         self.link: Optional[Link] = None
         self.loss_model: LossModel = NoLoss()
         self.fault_model: Optional["FaultModel"] = None
-        self._queue: Deque[Frame] = deque()
-        self._transmitting = False
-        self._batch_left = 0               # finish events outstanding in the batch
+        # Serialization start times of admitted frames that have not
+        # started yet (the FIFO's occupants), oldest first.
+        self._waiting: Deque[int] = deque()
+        self._tx_free_at = 0                   # when the transmitter goes idle
         self._peer: Optional["NicPort"] = None  # lazily cached link peer
         # Counters for tests and reports.
         self.tx_frames = 0
@@ -113,66 +121,40 @@ class NicPort:
         return accepted
 
     def _admit(self, frame: Frame) -> bool:
-        """Append to the egress FIFO (drop-tail) and kick the transmitter."""
-        if len(self._queue) >= self.queue_frames:
+        """Append to the egress FIFO (drop-tail), fix the frame's transmit
+        schedule and schedule its arrival at the link peer."""
+        now = self.sim.now
+        waiting = self._waiting
+        while waiting and waiting[0] <= now:
+            waiting.popleft()              # started serializing by now
+        depth = len(waiting)
+        if depth >= self.queue_frames:
             self.drops_queue_full += 1
             if self.tracer:
                 self.tracer.record("drop.queue", port=self.name, frame=frame)
             return False
-        self._queue.append(frame)
-        if len(self._queue) > self.queue_hwm:
-            self.queue_hwm = len(self._queue)
-        if not self._transmitting:
-            self._start_next()
-        return True
-
-    def _start_next(self) -> None:
-        """Wake the transmitter: serialize the head frame and pre-schedule
-        finish events for up to :data:`TX_BATCH` back-to-back frames.
-
-        Only the head frame leaves the FIFO here; each successor is
-        popped by its predecessor's ``_finish_tx`` — the exact instant
-        its own serialization starts — so drop-tail occupancy is
-        identical to a chained one-frame-at-a-time scheduler.
-        """
-        queue = self._queue
-        if not queue:
-            self._transmitting = False
-            return
-        self._transmitting = True
-        sim = self.sim
+        if depth >= self.queue_hwm:
+            self.queue_hwm = depth + 1
+        start = self._tx_free_at
+        if start > now:
+            waiting.append(start)
+        else:
+            start = now
         link = self.link
-        n = len(queue)
-        if n > TX_BATCH:
-            n = TX_BATCH
-        self._batch_left = n
-        first = queue.popleft()
-        t = sim.now + link.serialization_ns(first.wire_size)
-        sim.call_at(t, self._finish_tx, first)
-        for i in range(n - 1):
-            frame = queue[i]
-            t += link.serialization_ns(frame.wire_size)
-            sim.call_at(t, self._finish_tx, frame)
-
-    def _finish_tx(self, frame: Frame) -> None:
+        size = frame.wire_size
+        finish = start + link.serialization_ns(size)
+        self._tx_free_at = finish
         self.tx_frames += 1
-        self.tx_bytes += frame.wire_size
-        link = self.link
+        self.tx_bytes += size
         link.frames += 1
-        link.bytes += frame.wire_size
+        link.bytes += size
         if self.tracer:
             self.tracer.record("tx", port=self.name, frame=frame)
         peer = self._peer
         if peer is None:
             peer = self._peer = link.peer_of(self)
-        self.sim.call_after(link.delay_ns, peer.deliver, frame)
-        self._batch_left -= 1
-        if self._batch_left:
-            # The successor's serialization starts this instant; it exits
-            # the FIFO now (its finish event is already on the heap).
-            self._queue.popleft()
-        else:
-            self._start_next()
+        self.sim.call_at(finish + link.delay_ns, peer.deliver, frame)
+        return True
 
     # -- ingress ----------------------------------------------------------
 
@@ -195,7 +177,9 @@ class NicPort:
         self.fault_model = model
 
     def queue_depth(self) -> int:
-        return len(self._queue)
+        """Frames admitted but not yet serializing as of ``now``."""
+        now = self.sim.now
+        return sum(1 for start in self._waiting if start > now)
 
     # -- metrics -----------------------------------------------------------
 
@@ -225,7 +209,7 @@ class NicPort:
                 yield ("simnet.faults." + key, labels, "counter", stats[key])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<NicPort {self.name!r} q={len(self._queue)} tx={self.tx_frames} rx={self.rx_frames}>"
+        return f"<NicPort {self.name!r} q={self.queue_depth()} tx={self.tx_frames} rx={self.rx_frames}>"
 
 
 def cable(sim: Simulator, port_a: NicPort, port_b: NicPort, link: Link) -> Link:

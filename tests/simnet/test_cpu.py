@@ -86,6 +86,25 @@ def test_charge_delays_later_work():
     assert out == [1_010]
 
 
+def test_charge_schedules_no_event():
+    sim = Simulator()
+    cpu = CpuResource(sim)
+    out = []
+    assert cpu.charge(1_000) == 1_000
+    assert sim.pending() == 0
+    cpu.submit(10, lambda: out.append(sim.now))
+    sim.run()
+    assert out == [1_010]
+    assert sim.events_processed == 1          # only the submit's completion
+    assert cpu.busy_ns == 1_010 and cpu.work_items == 2
+
+
+def test_charge_rejects_negative_cost():
+    cpu = CpuResource(Simulator())
+    with pytest.raises(ValueError):
+        cpu.charge(-1)
+
+
 def test_free_at_tracks_backlog():
     sim = Simulator()
     cpu = CpuResource(sim)

@@ -5,6 +5,16 @@ import pytest
 from repro.simnet.engine import MS, SEC, US, Future, Process, SimulationError, Simulator, Timeout
 
 
+def _callback(qualname):
+    """A no-op callback with the given qualified name."""
+
+    def fn():
+        pass
+
+    fn.__qualname__ = qualname
+    return fn
+
+
 class TestScheduling:
     def test_events_run_in_time_order(self):
         sim = Simulator()
@@ -167,6 +177,50 @@ class TestFutures:
         sim.schedule(10_000, fut.set_result, 1)
         with pytest.raises(SimulationError):
             sim.run_until(fut, limit=1_000)
+
+    def test_run_until_limit_skips_cancelled_head(self):
+        # The limit applies to the next *live* event: a tombstone inside
+        # the limit must not let a live event past it fire.
+        sim = Simulator()
+        fut = sim.future()
+        out = []
+        sim.schedule(500, out.append, "cancelled").cancel()
+        sim.schedule(5_000, out.append, "late")
+        sim.schedule(6_000, fut.set_result, 1)
+        with pytest.raises(SimulationError, match="time limit 1000"):
+            sim.run_until(fut, limit=1_000)
+        assert out == []
+        assert sim.now == 0 and sim.pending() == 2
+
+    def test_run_until_drained_error_names_clock_and_limit(self):
+        sim = Simulator()
+        fut = sim.future()
+        sim.schedule(5, lambda: None)
+        sim.schedule(7, lambda: None).cancel()
+        with pytest.raises(SimulationError) as info:
+            sim.run_until(fut, limit=SEC)
+        msg = str(info.value)
+        assert msg.startswith("event queue drained before future resolved")
+        assert f"now=5, limit={SEC}, 0 live pending events" in msg
+
+    def test_run_until_limit_error_names_pending_callbacks(self):
+        sim = Simulator()
+        fut = sim.future()
+        deliver = _callback("NicPort.deliver")
+        for _ in range(3):
+            sim.schedule(2_000, deliver)
+        sim.schedule(2_000, deliver).cancel()   # tombstones are not pending
+        sim.schedule(3_000, fut.set_result, 1)
+        for i in range(5):
+            sim.schedule(4_000, _callback(f"tick{i}"))
+        with pytest.raises(SimulationError) as info:
+            sim.run_until(fut, limit=1_000)
+        msg = str(info.value)
+        assert "time limit 1000 (now=0, limit=1000, 9 live pending events" in msg
+        # The five most common callbacks, by qualified name and count.
+        listed = msg.split("most common: ")[1].rstrip(")").split(", ")
+        assert listed[0] == "NicPort.deliver x3"
+        assert len(listed) == 5
 
 
 class TestProcesses:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simnet.engine import Simulator
+from repro.simnet.faults import FaultModel
 from repro.simnet.link import Link
 from repro.simnet.loss import (
     BernoulliLoss, ExplicitLoss, GilbertElliottLoss, NoLoss, PatternLoss,
@@ -74,6 +75,17 @@ class _Sink:
         self.got.append(frame)
 
 
+class _HoldFirst(FaultModel):
+    """Holds the first offered frame for ``hold_ns``; passes the rest."""
+
+    def __init__(self, hold_ns):
+        super().__init__()
+        self.hold_ns = hold_ns
+
+    def _admit(self, frame, now):
+        return [(self.hold_ns if self.seen == 1 else 0, frame)]
+
+
 def _two_ports(sim, bandwidth=10e9, delay=500, queue=1000):
     a_owner, b_owner = _Sink(), _Sink()
     pa = NicPort(sim, a_owner, "a", queue_frames=queue)
@@ -110,6 +122,62 @@ class TestNic:
         # one in flight immediately + 2 queued = 3 delivered.
         assert len(sink.got) == 3
         assert pa.drops_queue_full == 2
+
+    def test_frame_leaves_fifo_when_its_serialization_starts(self):
+        # Tie rule: an admission at the very nanosecond a waiting frame
+        # starts serializing already sees that frame gone from the FIFO.
+        sim = Simulator()
+        pa, pb, _, sink = _two_ports(sim, bandwidth=10e9, delay=0, queue=1)
+        late = _frame(size=1212)
+        sim.at(1000, pa.enqueue, late)   # queued first: runs first at t=1000
+        first, second = _frame(size=1212), _frame(size=1212)
+        assert pa.enqueue(first) and pa.enqueue(second)
+        assert not pa.enqueue(_frame(size=1212))   # one frame waiting: full
+        sim.run()
+        assert pa.drops_queue_full == 1
+        assert sink.got == [first, second, late]
+        assert sim.now == 3000
+
+    def test_queue_depth_counts_frames_not_yet_started(self):
+        sim = Simulator()
+        pa, pb, _, _ = _two_ports(sim, bandwidth=10e9, delay=0)
+        for _ in range(3):
+            pa.enqueue(_frame(size=1212))   # serialize at 0, 1000, 2000
+        depths = {}
+        for t in (0, 999, 1000, 1999, 2000):
+            sim.at(t, lambda t=t: depths.setdefault(t, pa.queue_depth()))
+        sim.run()
+        assert depths == {0: 2, 999: 2, 1000: 1, 1999: 1, 2000: 0}
+        assert pa.queue_hwm == 2
+
+    def test_held_frame_enters_fifo_behind_earlier_admissions(self):
+        sim = Simulator()
+        pa, pb, _, sink = _two_ports(sim, bandwidth=10e9, delay=0)
+        arrivals = []
+        sink.on_frame = lambda frame, port: arrivals.append((frame, sim.now))
+        pa.set_fault_model(_HoldFirst(hold_ns=500))
+        held, a, b = (_frame(size=1212) for _ in range(3))
+        for f in (held, a, b):
+            assert pa.enqueue(f)
+        assert pa.held_frames == 1
+        depths = []
+        sim.at(500, lambda: depths.append(pa.queue_depth()))
+        sim.run()
+        # At t=500 the held frame joins the FIFO behind ``b`` (``a`` is on
+        # the wire).
+        assert depths == [2]
+        assert arrivals == [(a, 1000), (b, 2000), (held, 3000)]
+
+    def test_held_frame_meets_drop_tail_when_it_enters(self):
+        sim = Simulator()
+        pa, pb, _, sink = _two_ports(sim, bandwidth=10e9, delay=0, queue=1)
+        pa.set_fault_model(_HoldFirst(hold_ns=500))
+        held, a, b = (_frame(size=1212) for _ in range(3))
+        for f in (held, a, b):
+            assert pa.enqueue(f)
+        sim.run()
+        assert pa.drops_queue_full == 1
+        assert sink.got == [a, b]
 
     def test_loss_model_applied_before_wire(self):
         sim = Simulator()
