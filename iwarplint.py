@@ -3,20 +3,22 @@ without installing anything or exporting PYTHONPATH.
 
 ``python -m`` puts the current directory first on ``sys.path``, so this
 module is what gets executed; it prepends ``tools/`` (where the real
-package lives) and re-resolves the import so ``iwarplint`` names the
-package, then delegates to its CLI.
+package lives) and ``src/`` (the FSM rules import the live ``repro``
+machines), re-resolves the import so ``iwarplint`` names the package,
+then delegates to its CLI.
 """
 
 import os
 import sys
 
-_TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "tools")
-# Force tools/ to the FRONT: if it sits behind the repo root (pytest
-# prepends the rootdir during collection), the re-import below would
-# find this shim again and recurse instead of the real package.
-if _TOOLS in sys.path:
-    sys.path.remove(_TOOLS)
-sys.path.insert(0, _TOOLS)
+_ROOT = os.path.dirname(os.path.abspath(__file__))
+# Force src/ then tools/ to the FRONT: if tools/ sits behind the repo
+# root (pytest prepends the rootdir during collection), the re-import
+# below would find this shim again and recurse instead of the package.
+for _entry in (os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tools")):
+    if _entry in sys.path:
+        sys.path.remove(_entry)
+    sys.path.insert(0, _entry)
 sys.modules.pop("iwarplint", None)
 
 from iwarplint.cli import main  # noqa: E402

@@ -14,9 +14,9 @@ syscalls — everything §IV.A argues datagram-iWARP avoids.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Optional
 
-from ..fsm import transition as _fsm_transition
+from ..fsm import Fsm, transition as _fsm_transition
 from ...simnet.engine import Future
 from ...transport.tcp.socket import TcpSocket
 from .crc import CrcError
@@ -35,28 +35,20 @@ NEGOTIATING = "NEGOTIATING"
 OPERATIONAL = "OPERATIONAL"
 FAILED = "FAILED"
 
-#: Legal lifecycle moves (RFC 5044: startup exchange, then full
-#: operation until the stream dies).  Mirrored in
-#: ``iwarplint.invariants.MPA_TABLE``; drift is flagged (IW204).
-MPA_TRANSITIONS: "Dict[str, FrozenSet[str]]" = {
-    NEGOTIATING: frozenset({OPERATIONAL, FAILED}),
-    OPERATIONAL: frozenset({FAILED}),
-    FAILED: frozenset(),
-}
-
-#: Event-labelled view: ``(state, event) -> state``.  Model-checked by
-#: ``tools/iwarpcheck`` against :data:`MPA_TRANSITIONS` (projection
-#: equality).  ``neg_reject`` covers every negotiation failure (bad
-#: magic, capability mismatch, unexpected type); ``crc_mismatch`` is a
+#: The MPA lifecycle, declared once as its event arcs (RFC 5044:
+#: startup exchange, then full operation until the stream dies); the
+#: ``(from, to)`` pairs ``_set_state`` enforces are derived from them.
+#: ``neg_reject`` covers every negotiation failure (bad magic,
+#: capability mismatch, unexpected type); ``crc_mismatch`` is a
 #: corrupted FPDU on an operational stream, ``stream_error`` any other
 #: fatal stream condition.  FAILED is terminal: an MPA stream is never
 #: revived, the ULP tears the QP down instead.
-MPA_EVENT_TRANSITIONS: "Dict[Tuple[str, str], str]" = {
+MPA_FSM = Fsm("MPA", NEGOTIATING, frozenset({FAILED}), {
     (NEGOTIATING, "neg_complete"): OPERATIONAL,
     (NEGOTIATING, "neg_reject"): FAILED,
     (OPERATIONAL, "crc_mismatch"): FAILED,
     (OPERATIONAL, "stream_error"): FAILED,
-}
+})
 
 
 class MpaError(Exception):
@@ -128,9 +120,9 @@ class MpaConnection:
 
     def _set_state(self, new_state: str) -> None:
         """Sole state mutator after construction; validates the move
-        against :data:`MPA_TRANSITIONS` via the shared
+        against :data:`MPA_FSM` via the shared
         :func:`repro.core.fsm.transition` helper (same-state is a no-op)."""
-        _fsm_transition(self, "MPA", MPA_TRANSITIONS, new_state, MpaError)
+        _fsm_transition(self, MPA_FSM, new_state, MpaError)
 
     def _become_operational(self) -> None:
         self._set_state(OPERATIONAL)

@@ -18,15 +18,17 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Dict, FrozenSet, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Set
 
-from ..fsm import transition as _fsm_transition
+from ..fsm import Fsm, transition as _fsm_transition
 
 from ...memory.region import Access
 from ...obs import sim_registry, wr_span
 from ...simnet.engine import Future
 from ...transport.ip import IP_HEADER
 from ...transport.rudp import RUDP_HEADER, RudpSocket
+from ...transport.sctp import SctpAssociation, SctpError
+from ...transport.tcp.connection import TcpError
 from ...transport.udp import UDP_HEADER, UDP_MAX_PAYLOAD
 from ..ddp.headers import (
     CTRL_SIZE, OP_TERMINATE, TAGGED_SIZE, UDEXT_SIZE, UNTAGGED_SIZE,
@@ -39,7 +41,6 @@ from .cq import CompletionQueue
 from .wr import Address, RecvWR, SendWR, WcStatus, WorkCompletion, WrOpcode
 
 if TYPE_CHECKING:
-    from ...transport.sctp import SctpAssociation
     from .device import RnicDevice
 
 # QP states: the IB/iWARP modify_qp ladder.  The paper keeps standard
@@ -53,26 +54,13 @@ RTS = "RTS"          # ready to send (and receive)
 SQD = "SQD"          # send-queue drained: posting sends is rejected
 ERROR = "ERROR"
 
-#: Legal transitions, mirrored in ``iwarplint.invariants.QP_TABLE`` —
-#: the iwarplint FSM rule (IW204) flags any drift between the two.
-#: ERROR is reachable from everywhere; RESET recycles a QP.
-QP_TRANSITIONS: Dict[str, FrozenSet[str]] = {
-    RESET: frozenset({INIT, RTS, ERROR}),
-    INIT: frozenset({RTR, RESET, ERROR}),
-    RTR: frozenset({RTS, RESET, ERROR}),
-    RTS: frozenset({SQD, RESET, ERROR}),
-    SQD: frozenset({RTS, RESET, ERROR}),
-    ERROR: frozenset({RESET}),
-}
-
-#: Event-labelled view of the same machine: ``(state, event) -> state``.
-#: ``tools/iwarpcheck`` model-checks this table (reachability, liveness,
-#: dead transitions) and verifies that its projection onto (from, to)
-#: pairs equals :data:`QP_TRANSITIONS` exactly, so the two views cannot
-#: drift.  ``connect_ready`` covers the three creation paths that jump
-#: RESET -> RTS (UD creation, MPA negotiation, SCTP association);
-#: ``terminate`` covers both local fatal errors and a peer TERMINATE.
-QP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
+#: The QP machine, declared once as its event arcs; the ``(from, to)``
+#: pairs ``_set_state`` enforces are derived from them.  ERROR is
+#: reachable from everywhere; RESET recycles a QP.  ``connect_ready``
+#: covers the three creation paths that jump RESET -> RTS (UD creation,
+#: MPA negotiation, SCTP association); ``terminate`` covers both local
+#: fatal errors and a peer TERMINATE.
+QP_FSM = Fsm("QP", RESET, frozenset({ERROR}), {
     (RESET, "modify_qp"): INIT,
     (RESET, "connect_ready"): RTS,
     (RESET, "close"): ERROR,
@@ -91,7 +79,7 @@ QP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (SQD, "terminate"): ERROR,
     (SQD, "close"): ERROR,
     (ERROR, "recycle"): RESET,
-}
+})
 
 #: Worst-case DDP header: control + tagged/untagged + UD extension.
 MAX_HEADER = CTRL_SIZE + max(TAGGED_SIZE, UNTAGGED_SIZE) + UDEXT_SIZE
@@ -146,12 +134,12 @@ class QueuePair:
 
     def _set_state(self, new_state: str) -> None:
         """The only way the QP state may change after construction.
-        Validates the move against :data:`QP_TRANSITIONS` via the shared
+        Validates the move against :data:`QP_FSM` via the shared
         :func:`repro.core.fsm.transition` helper; a same-state
         "transition" is a no-op, which is what makes teardown paths
         (``close`` after an error, double ``close``) idempotent."""
         _fsm_transition(
-            self, "QP", QP_TRANSITIONS, new_state, QpError,
+            self, QP_FSM, new_state, QpError,
             f" on QP {self.qp_num}",
         )
 
@@ -182,6 +170,7 @@ class QueuePair:
             ("verbs.qp.crc_drops", "crc_drops"),
             ("verbs.qp.drops_closed", "drops_closed"),
             ("verbs.qp.rd_flushed_wrs", "rd_flushed_wrs"),
+            ("verbs.qp.terminate_send_failures", "terminate_send_failures"),
         ):
             value = getattr(self, attr, None)
             if value is not None:
@@ -282,13 +271,15 @@ class QueuePair:
 
     def terminate(self, reason: str) -> None:
         """Local fatal error: notify the peer, error the QP (RC only —
-        UD QPs never call this for data-path errors)."""
+        UD QPs never call this for data-path errors).
+
+        The TERMINATE leaves through the channel's deferred ``_emit``.
+        If the stream has died by then, the notification is lost: the
+        RC ``_emit`` counts it in ``terminate_send_failures`` instead of
+        raising out of the event loop."""
         if self.state == ERROR:
             return
-        try:
-            self.tx.send_terminate(reason)
-        except Exception:
-            pass
+        self.tx.send_terminate(reason)
         self._enter_error(reason)
 
     def on_remote_terminate(self, reason: str) -> None:
@@ -560,6 +551,7 @@ class RcQp(QueuePair):
         self.mpa = mpa
         self.remote = remote
         self._max_seg = device.rc_mulpdu - MAX_HEADER
+        self.terminate_send_failures = 0
         mpa.on_ulpdu = self._on_ulpdu
         mpa.on_error = lambda exc: self._enter_error(str(exc))
         mpa.ready.add_callback(self._on_mpa_ready)
@@ -602,7 +594,15 @@ class RcQp(QueuePair):
             self.host, "wire", qp=self.qp_num, proto="tcp",
             msg_id=seg.msg_id, last=seg.last,
         )
-        self.mpa.emit_ulpdu_now(seg.encode())
+        try:
+            self.mpa.emit_ulpdu_now(seg.encode())
+        except TcpError:
+            # The application half-closed the stream under a queued
+            # TERMINATE: the peer notification is lost, the QP is
+            # already in ERROR.  Any other segment is a real fault.
+            if seg.opcode != OP_TERMINATE:
+                raise
+            self.terminate_send_failures += 1
 
     # -- receive ------------------------------------------------------------
 
@@ -658,6 +658,7 @@ class RcSctpQp(QueuePair):
         self.assoc = assoc
         self.remote = remote
         self._max_seg = assoc.max_message - MAX_HEADER
+        self.terminate_send_failures = 0
         assoc.on_message = self._on_message
         assoc.established.add_callback(self._on_assoc_ready)
 
@@ -695,7 +696,13 @@ class RcSctpQp(QueuePair):
             self.host, "wire", qp=self.qp_num, proto="sctp",
             msg_id=seg.msg_id, last=seg.last,
         )
-        self.assoc.send_message(seg.encode())
+        try:
+            self.assoc.send_message(seg.encode())
+        except SctpError:
+            # Shut down under a queued TERMINATE (see RcQp._emit).
+            if seg.opcode != OP_TERMINATE:
+                raise
+            self.terminate_send_failures += 1
 
     # -- receive ------------------------------------------------------------
 

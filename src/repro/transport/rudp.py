@@ -177,13 +177,11 @@ class _PeerTx:
 class _PeerRx:
     """Receiver-side state from one peer."""
 
-    __slots__ = ("rcv_nxt", "ooo", "pending_acks", "ack_timer")
+    __slots__ = ("rcv_nxt", "ooo")
 
     def __init__(self) -> None:
         self.rcv_nxt = 1
         self.ooo: Dict[int, bytes] = {}
-        self.pending_acks = 0   # in-order arrivals not yet acknowledged
-        self.ack_timer = None   # pending-ACK flush timer (batched mode)
 
 
 class RudpSocket:
@@ -197,16 +195,6 @@ class RudpSocket:
     socket degrades to the original fixed-RTO design — no estimator, no
     backoff, no fast retransmit, no SACK — kept as the baseline the
     robustness benchmarks compare against.
-
-    ``ack_every`` > 1 batches acknowledgements: in-order arrivals are
-    acknowledged once per ``ack_every`` datagrams (or after
-    ``ack_delay_ns``, whichever comes first — one pending-ACK timer per
-    peer, not one per datagram), while anything anomalous — a gap, a
-    duplicate, out-of-order data — still flushes an ACK immediately so
-    fast retransmit and SACK recovery keep their one-ACK-per-anomaly
-    timing.  Timer-fired ACKs echo sequence 0, which never produces an
-    RTT sample (the delay would otherwise contaminate SRTT).  The
-    default of 1 is the paper's ack-every-arrival behaviour.
     """
 
     def __init__(
@@ -220,15 +208,9 @@ class RudpSocket:
         max_rto_ns: int = RD_MAX_RTO_NS,
         sack_ranges: int = 3,
         dup_ack_threshold: int = 3,
-        ack_every: int = 1,
-        ack_delay_ns: int = 100 * US,
     ):
         if window_msgs < 1:
             raise RudpError("window must be at least 1 message")
-        if ack_every < 1:
-            raise RudpError("ack_every must be at least 1")
-        if ack_delay_ns <= 0:
-            raise RudpError("ack_delay_ns must be positive")
         self.udp = udp
         self.sim: Simulator = udp.stack.sim
         self.window_msgs = window_msgs
@@ -239,10 +221,6 @@ class RudpSocket:
         self.max_rto_ns = max(max_rto_ns, rto_ns)
         self.sack_ranges = min(sack_ranges, SACK_RANGES_MAX) if adaptive else 0
         self.dup_ack_threshold = dup_ack_threshold if adaptive else 0
-        # The fixed-RTO baseline predates delayed ACKs; it keeps the
-        # original ack-every-arrival behaviour regardless of ack_every.
-        self.ack_every = ack_every if adaptive else 1
-        self.ack_delay_ns = ack_delay_ns
         self.closed = False
         self._tx: Dict[Address, _PeerTx] = {}
         self._rx: Dict[Address, _PeerRx] = {}
@@ -547,7 +525,6 @@ class RudpSocket:
 
     def _on_data(self, seq: int, payload: bytes, src: Address) -> None:
         rx = self._rx.setdefault(src, _PeerRx())
-        anomaly = True
         if seq < rx.rcv_nxt or seq in rx.ooo:
             self.duplicates_dropped += 1
         elif seq == rx.rcv_nxt:
@@ -556,33 +533,12 @@ class RudpSocket:
             while rx.rcv_nxt in rx.ooo:
                 self._deliver(rx.ooo.pop(rx.rcv_nxt), src)
                 rx.rcv_nxt += 1
-            # Clean in-order progress (no gap still parked) may be
-            # acknowledged lazily; everything else must flush now so the
-            # sender's dup-ACK/SACK machinery sees each anomaly.
-            anomaly = bool(rx.ooo)
         else:
             rx.ooo[seq] = payload
-        rx.pending_acks += 1
-        if anomaly or rx.pending_acks >= self.ack_every:
-            # Ack with the cumulative in-order point, echoing the seq
-            # that triggered this ACK (plus SACK ranges for whatever is
-            # parked out of order).
-            self._flush_ack(rx, src, seq)
-        elif rx.ack_timer is None:
-            rx.ack_timer = self.sim.schedule(
-                self.ack_delay_ns, self._on_ack_timer, src
-            )
-
-    def _on_ack_timer(self, src: Address) -> None:
-        """Pending-ACK timer: acknowledge whatever arrived in-order since
-        the last ACK.  Echoes seq 0 — never a valid trigger — so the
-        sender takes no RTT sample from a deliberately delayed ACK."""
-        rx = self._rx.get(src)
-        if rx is None:
-            return
-        rx.ack_timer = None
-        if rx.pending_acks:
-            self._flush_ack(rx, src, 0)
+        # Ack every arrival with the cumulative in-order point, echoing
+        # the seq that triggered this ACK (plus SACK ranges for whatever
+        # is parked out of order).
+        self._send_ack(rx, src, seq)
 
     def _ooo_ranges(self, rx: _PeerRx) -> List[Tuple[int, int]]:
         """First ``sack_ranges`` contiguous runs of out-of-order data."""
@@ -602,11 +558,7 @@ class RudpSocket:
         ranges.append((start, prev))
         return ranges[: self.sack_ranges]
 
-    def _flush_ack(self, rx: _PeerRx, src: Address, trigger_seq: int) -> None:
-        if rx.ack_timer is not None:
-            rx.ack_timer.cancel()
-            rx.ack_timer = None
-        rx.pending_acks = 0
+    def _send_ack(self, rx: _PeerRx, src: Address, trigger_seq: int) -> None:
         self.acks_sent += 1
         self.udp.sendto(
             encode_ack(rx.rcv_nxt, trigger_seq, self._ooo_ranges(rx)), src
@@ -692,10 +644,6 @@ class RudpSocket:
             tx.queue.clear()
             tx.cbs.clear()
         self._tx.clear()
-        for rx in self._rx.values():
-            if rx.ack_timer is not None:
-                rx.ack_timer.cancel()
-                rx.ack_timer = None
         # Detach before failing callbacks: nothing may re-enter a closed
         # socket through a stale UDP delivery path.
         if self.udp.on_datagram == self._on_datagram:

@@ -28,9 +28,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from ..core.fsm import transition as _fsm_transition
+from ..core.fsm import Fsm, transition as _fsm_transition
 from ..simnet.engine import Future, Simulator
 from ..simnet.host import Host
 from .ip import IpStack
@@ -62,27 +62,15 @@ COOKIE_ECHOED = "COOKIE_ECHOED"
 ESTABLISHED = "ESTABLISHED"
 SHUTDOWN_SENT = "SHUTDOWN_SENT"
 
-#: Legal transitions (RFC 4960 four-way handshake subset).  A passive
-#: endpoint keeps no TCB before a valid COOKIE ECHO, so it legitimately
-#: jumps CLOSED -> ESTABLISHED; COOKIE_WAIT -> ESTABLISHED covers INIT
-#: collisions.  CLOSED is additionally reachable from every state via
-#: ABORT.  Mirrored in ``iwarplint.invariants.SCTP_TABLE`` (IW204).
-SCTP_TRANSITIONS: Dict[str, FrozenSet[str]] = {
-    CLOSED: frozenset({COOKIE_WAIT, ESTABLISHED}),
-    COOKIE_WAIT: frozenset({COOKIE_ECHOED, ESTABLISHED, CLOSED}),
-    COOKIE_ECHOED: frozenset({ESTABLISHED, CLOSED}),
-    ESTABLISHED: frozenset({SHUTDOWN_SENT, CLOSED}),
-    SHUTDOWN_SENT: frozenset({CLOSED}),
-}
-
-#: Event-labelled view: ``(state, event) -> state`` (RFC 4960 arc
-#: labels).  Model-checked by ``tools/iwarpcheck`` against
-#: :data:`SCTP_TRANSITIONS` (projection equality).  ``cookie_echo``
-#: establishes both the stateless passive side (CLOSED) and an INIT
-#: collision (COOKIE_WAIT); ``abort`` covers an ABORT chunk in either
-#: direction; ``peer_shutdown`` is the three-chunk teardown seen from
-#: the passive side.
-SCTP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
+#: The SCTP machine, declared once as its event arcs (RFC 4960 four-way
+#: handshake subset and arc labels); the ``(from, to)`` pairs
+#: ``_set_state`` enforces are derived from them.  A passive endpoint
+#: keeps no TCB before a valid COOKIE ECHO, so ``cookie_echo``
+#: establishes both the stateless passive side (CLOSED -> ESTABLISHED)
+#: and an INIT collision (COOKIE_WAIT -> ESTABLISHED); ``abort`` covers
+#: an ABORT chunk in either direction; ``peer_shutdown`` is the
+#: three-chunk teardown seen from the passive side.
+SCTP_FSM = Fsm("SCTP", CLOSED, frozenset({CLOSED}), {
     (CLOSED, "active_open"): COOKIE_WAIT,
     (CLOSED, "cookie_echo"): ESTABLISHED,
     (COOKIE_WAIT, "init_ack"): COOKIE_ECHOED,
@@ -94,7 +82,7 @@ SCTP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (ESTABLISHED, "peer_shutdown"): CLOSED,
     (ESTABLISHED, "abort"): CLOSED,
     (SHUTDOWN_SENT, "shutdown_ack"): CLOSED,
-}
+})
 
 
 class SctpError(Exception):
@@ -167,10 +155,10 @@ class SctpAssociation:
 
     def _set_state(self, new_state: str) -> None:
         """Sole state mutator after construction; validates the move
-        against :data:`SCTP_TRANSITIONS` via the shared
+        against :data:`SCTP_FSM` via the shared
         :func:`repro.core.fsm.transition` helper (same-state is a no-op)."""
         _fsm_transition(
-            self, "SCTP", SCTP_TRANSITIONS, new_state, SctpError,
+            self, SCTP_FSM, new_state, SctpError,
             f" ({self.local_port}<->{self.remote})",
         )
 

@@ -18,9 +18,9 @@ move far less than 2**63 bytes, and the arithmetic stays honest.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from ...core.fsm import transition as _fsm_transition
+from ...core.fsm import Fsm, transition as _fsm_transition
 from ...obs import sim_registry, wr_span
 from ...simnet.engine import Future, Simulator
 from .congestion import RenoCongestion
@@ -44,30 +44,14 @@ LAST_ACK = "LAST_ACK"
 CLOSING = "CLOSING"
 TIME_WAIT = "TIME_WAIT"
 
-#: Legal transitions (RFC 793 figure 6 subset; CLOSED is additionally
-#: reachable from every state via RST/abort).  Mirrored in
-#: ``iwarplint.invariants.TCP_TABLE``; drift is flagged (IW204).
-TCP_TRANSITIONS: Dict[str, FrozenSet[str]] = {
-    CLOSED: frozenset({SYN_SENT, SYN_RCVD}),
-    SYN_SENT: frozenset({ESTABLISHED, CLOSED}),
-    SYN_RCVD: frozenset({ESTABLISHED, FIN_WAIT_1, CLOSED}),
-    ESTABLISHED: frozenset({FIN_WAIT_1, CLOSE_WAIT, CLOSED}),
-    FIN_WAIT_1: frozenset({FIN_WAIT_2, CLOSING, TIME_WAIT, CLOSED}),
-    FIN_WAIT_2: frozenset({TIME_WAIT, CLOSED}),
-    CLOSE_WAIT: frozenset({LAST_ACK, CLOSED}),
-    LAST_ACK: frozenset({CLOSED}),
-    CLOSING: frozenset({TIME_WAIT, CLOSED}),
-    TIME_WAIT: frozenset({CLOSED}),
-}
-
-#: Event-labelled view: ``(state, event) -> state`` (RFC 793 figure 6
-#: arc labels).  Model-checked by ``tools/iwarpcheck``, whose projection
-#: check keeps this table and :data:`TCP_TRANSITIONS` identical.
-#: ``reset`` covers both an arriving RST and a local abort; losing,
-#: duplicating, or reordering a data segment never moves this machine
-#: (retransmission absorbs it), which the product model in iwarpcheck
-#: states explicitly.
-TCP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
+#: The TCP machine, declared once as its event arcs (RFC 793 figure 6
+#: subset and arc labels); the ``(from, to)`` pairs ``_set_state``
+#: enforces are derived from them.  ``reset`` covers both an arriving
+#: RST and a local abort, so CLOSED is reachable from every state;
+#: losing, duplicating, or reordering a data segment never moves this
+#: machine (retransmission absorbs it), which the product model in
+#: iwarpcheck states explicitly.
+TCP_FSM = Fsm("TCP", CLOSED, frozenset({CLOSED}), {
     (CLOSED, "active_open"): SYN_SENT,
     (CLOSED, "passive_syn"): SYN_RCVD,
     (SYN_SENT, "syn_ack"): ESTABLISHED,
@@ -91,7 +75,7 @@ TCP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (CLOSING, "fin_acked"): TIME_WAIT,
     (CLOSING, "reset"): CLOSED,
     (TIME_WAIT, "msl_timeout"): CLOSED,
-}
+})
 
 
 class TcpError(Exception):
@@ -110,7 +94,6 @@ class TcpConnection:
         mss: int,
         nagle: bool = False,
         rcvbuf_bytes: int = 16 * 1024 * 1024,
-        ack_every: int = 2,
     ):
         self.stack = stack
         self.sim: Simulator = stack.sim
@@ -118,7 +101,6 @@ class TcpConnection:
         self.remote = remote
         self.mss = mss
         self.nagle = nagle
-        self.ack_every = max(1, ack_every)
         self.state = CLOSED
 
         # Send side.
@@ -240,10 +222,10 @@ class TcpConnection:
 
     def _set_state(self, new_state: str) -> None:
         """Sole state mutator after construction; validates the move
-        against :data:`TCP_TRANSITIONS` via the shared
+        against :data:`TCP_FSM` via the shared
         :func:`repro.core.fsm.transition` helper (same-state is a no-op)."""
         _fsm_transition(
-            self, "TCP", TCP_TRANSITIONS, new_state, TcpError,
+            self, TCP_FSM, new_state, TcpError,
             f" ({self.local_port}<->{self.remote})",
         )
 
@@ -445,10 +427,11 @@ class TcpConnection:
 
     _delack_timer = None
     DELAYED_ACK_NS = 40_000_000  # 40 ms, Linux-like
+    ACK_EVERY = 2  # in-order segments per ACK (RFC 1122 delayed ACK)
 
     def _schedule_ack(self, force: bool) -> None:
         self._segs_since_ack += 1
-        if force or self._segs_since_ack >= self.ack_every:
+        if force or self._segs_since_ack >= self.ACK_EVERY:
             self._send_ack()
             return
         if self._delack_timer is None:

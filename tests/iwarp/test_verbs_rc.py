@@ -56,6 +56,19 @@ class TestConnection:
             zero_testbed.sim.run_until(qp.ready, limit=RUN_LIMIT)
             assert qp.state == "RTS"
 
+    def test_terminate_on_half_closed_stream_is_counted(self, rc):
+        """A TERMINATE queued after the application half-closed the
+        stream cannot leave: it is counted, never raised out of the
+        event loop, and the QP still reaches ERROR."""
+        qp = rc["qps"][0]
+        qp.mpa.close()
+        qp.terminate("local fatal error")
+        assert qp.state == "ERROR"
+        rc["sim"].run(until=rc["sim"].now + 1 * SEC)
+        assert qp.terminate_send_failures == 1
+        samples = {name: value for name, _labels, _kind, value in qp._obs_samples()}
+        assert samples["verbs.qp.terminate_send_failures"] == 1
+
 
 class TestSendRecv:
     def test_in_order_delivery(self, rc):

@@ -105,3 +105,17 @@ def test_no_posted_receive_is_fatal(rc_sctp):
     rc_sctp["sim"].run(until=rc_sctp["sim"].now + 200 * MS)
     assert rc_sctp["qps"][1].state == "ERROR"
     assert rc_sctp["qps"][0].state == "ERROR"  # TERMINATE propagated
+
+
+def test_terminate_on_shut_down_association_is_counted(rc_sctp):
+    """A TERMINATE queued behind an application shutdown cannot leave:
+    it is counted, never raised out of the event loop, and the QP still
+    reaches ERROR."""
+    qp = rc_sctp["qps"][0]
+    qp.assoc.shutdown()
+    qp.terminate("local fatal error")
+    assert qp.state == "ERROR"
+    rc_sctp["sim"].run(until=rc_sctp["sim"].now + 200 * MS)
+    assert qp.terminate_send_failures == 1
+    samples = {name: value for name, _labels, _kind, value in qp._obs_samples()}
+    assert samples["verbs.qp.terminate_send_failures"] == 1

@@ -6,14 +6,16 @@ simulated exchange and checks an end-to-end invariant.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.ddp.headers import DdpSegment, HeaderError, decode_segment
 from repro.core.mpa.crc import CrcError, append_crc, split_and_verify
+from repro.core.mpa.fpdu import parse_fpdu
 from repro.memory.validity import ValidityMap
 from repro.models.costs import default_cost_model, zero_cost_model
 from repro.simnet.engine import SEC, Simulator
 from repro.simnet.loss import BernoulliLoss
 from repro.simnet.topology import build_testbed
 from repro.transport.ip import IpStack
-from repro.transport.rudp import RudpSocket
+from repro.transport.rudp import RudpSocket, decode_ack_payload
 from repro.transport.sctp import SctpStack
 from repro.transport.udp import UdpStack
 
@@ -127,3 +129,43 @@ def test_engine_event_order_is_total(schedule):
         expected.append((delay, i))
     sim.run()
     assert fired == sorted(expected)
+
+
+# ---------------------------------------------------------------------------
+# Decoder error contracts on arbitrary bytes
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=120), st.sampled_from([None, True, False]))
+def test_decode_segment_raises_only_header_error(data, ud):
+    try:
+        seg = decode_segment(data, ud=ud)
+    except HeaderError:
+        return
+    assert isinstance(seg, DdpSegment)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=120), st.integers(0, 8), st.booleans())
+def test_parse_fpdu_returns_none_a_parse_or_crc_error(buf, offset, crc_enabled):
+    """The MPA receive loop relies on exactly this contract: ``None``
+    (incomplete), ``(ulpdu, consumed)``, or :class:`CrcError`."""
+    try:
+        parsed = parse_fpdu(buf, offset, crc_enabled=crc_enabled)
+    except CrcError:
+        assert crc_enabled
+        return
+    if parsed is None:
+        return
+    ulpdu, consumed = parsed
+    assert isinstance(ulpdu, bytes)
+    assert len(ulpdu) < consumed <= len(buf) - offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=120))
+def test_decode_ack_payload_never_raises(payload):
+    echo, ranges = decode_ack_payload(payload)
+    assert 0 <= echo < 2**64
+    assert all(start <= end for start, end in ranges)

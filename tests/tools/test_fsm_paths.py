@@ -3,7 +3,7 @@
 :func:`iwarpcheck.explore.event_paths_covering_all_edges` emits one
 event path per declared arc; replaying every path through the live
 ``_set_state`` helpers proves the runtime validators accept exactly the
-declared tables — every declared transition is taken (which is what
+declared machines — every declared transition is taken (which is what
 drives the runtime coverage sanitizer to 100% without waivers), and
 every undeclared move raises the machine's own error type.
 
@@ -22,7 +22,8 @@ if str(TOOLS) not in sys.path:
     sys.path.insert(0, str(TOOLS))
 
 from iwarpcheck.explore import event_paths_covering_all_edges  # noqa: E402
-from iwarpcheck.model import MACHINE_NAMES, machines_by_name  # noqa: E402
+from iwarpcheck.model import machines_by_name  # noqa: E402
+from iwarpcheck.sanitizer import declared_pairs  # noqa: E402
 
 from repro.core.fsm import (  # noqa: E402
     add_transition_observer,
@@ -59,7 +60,7 @@ def make_skeleton(name: str, state: str):
     return obj
 
 
-@pytest.mark.parametrize("name", MACHINE_NAMES)
+@pytest.mark.parametrize("name", list(MACHINES))
 def test_covering_paths_replay_through_set_state(name):
     machine = MACHINES[name]
     paths = event_paths_covering_all_edges(machine)
@@ -74,15 +75,15 @@ def test_covering_paths_replay_through_set_state(name):
             hops.add((src, dst))
     # Together the paths take every declared (from, to) pair — this is
     # exactly what drives the runtime sanitizer to 100% coverage.
-    assert hops == set(machine.declared_pairs())
+    assert hops == set(declared_pairs(machine))
 
 
-@pytest.mark.parametrize("name", MACHINE_NAMES)
+@pytest.mark.parametrize("name", list(MACHINES))
 def test_undeclared_moves_raise(name):
     machine = MACHINES[name]
     _cls, error, _attrs = SKELETONS[name]
     for src in sorted(machine.states):
-        allowed = machine.table.get(src, frozenset())
+        allowed = machine.pairs.get(src, frozenset())
         for dst in sorted(machine.states - allowed - {src}):
             obj = make_skeleton(name, src)
             with pytest.raises(error):
@@ -90,7 +91,7 @@ def test_undeclared_moves_raise(name):
             assert obj.state == src, "failed transition must not move the state"
 
 
-@pytest.mark.parametrize("name", MACHINE_NAMES)
+@pytest.mark.parametrize("name", list(MACHINES))
 def test_same_state_set_is_silent_noop(name):
     machine = MACHINES[name]
     observed = []

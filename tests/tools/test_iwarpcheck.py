@@ -20,7 +20,7 @@ from iwarpcheck.explore import (  # noqa: E402
     event_paths_covering_all_edges,
     reachable_paths,
 )
-from iwarpcheck.model import Machine, load_machines, machines_by_name  # noqa: E402
+from iwarpcheck.model import machines_by_name  # noqa: E402
 from iwarpcheck.product import (  # noqa: E402
     ProductInvariant,
     ProductMachine,
@@ -34,22 +34,17 @@ from iwarpcheck.sanitizer import (  # noqa: E402
     WaiverError,
     coverage_findings,
     coverage_summary,
+    declared_pairs,
     load_records,
     parse_waivers,
 )
 
 from repro.core import fsm as fsm_module  # noqa: E402
-from repro.core.fsm import transition  # noqa: E402
+from repro.core.fsm import Fsm, transition  # noqa: E402
 
 
-def make_machine(table, events, initial="A", terminals=("C",), name="M"):
-    return Machine(
-        name=name,
-        initial=initial,
-        terminals=frozenset(terminals),
-        table={src: frozenset(dsts) for src, dsts in table.items()},
-        events=events,
-    )
+def make_machine(events, initial="A", terminals=("C",), name="M"):
+    return Fsm(name, initial, frozenset(terminals), events)
 
 
 def codes(findings):
@@ -61,40 +56,23 @@ def codes(findings):
 # ---------------------------------------------------------------------------
 
 
-def test_ic101_event_references_undeclared_state():
+def test_pairs_and_states_derive_from_events():
     machine = make_machine(
-        {"A": {"B"}, "B": {"C"}},
-        {("A", "go"): "B", ("B", "fin"): "C", ("D", "ghost"): "C"},
+        {("A", "go"): "B", ("A", "skip"): "B", ("B", "fin"): "C"},
     )
-    findings = check_machine(machine)
-    assert codes(findings) == ["IC101"]
-    assert "'D'" in findings[0].message
+    assert machine.pairs == {"A": frozenset({"B"}), "B": frozenset({"C"})}
+    assert machine.states == frozenset({"A", "B", "C"})
 
 
-def test_ic102_event_not_permitted_by_pair_table():
-    machine = make_machine(
-        {"A": {"B"}, "B": {"C"}},
-        {("A", "go"): "B", ("B", "fin"): "C", ("B", "loop"): "B"},
-    )
-    findings = check_machine(machine)
-    assert codes(findings) == ["IC102"]
-    # Minimal trace: reach B, then take the offending self-loop.
-    assert findings[0].trace == (("A", "go", "B"), ("B", "loop", "B"))
-
-
-def test_ic103_dead_declared_transition():
-    machine = make_machine(
-        {"A": {"B", "C"}, "B": {"C"}},
-        {("A", "go"): "B", ("B", "fin"): "C"},
-    )
-    findings = check_machine(machine)
-    assert codes(findings) == ["IC103"]
-    assert "A -> C" in findings[0].message
+def test_self_loop_arc_is_rejected_at_construction():
+    # A same-state write is a runtime no-op, so such an arc could never
+    # be observed by the coverage sanitizer.
+    with pytest.raises(ValueError, match="'loop' loops on B"):
+        make_machine({("A", "go"): "B", ("B", "fin"): "C", ("B", "loop"): "B"})
 
 
 def test_ic104_unreachable_state():
     machine = make_machine(
-        {"A": {"B"}, "B": {"C"}, "D": {"C"}},
         {("A", "go"): "B", ("B", "fin"): "C", ("D", "leak"): "C"},
     )
     findings = check_machine(machine)
@@ -103,10 +81,7 @@ def test_ic104_unreachable_state():
 
 
 def test_ic105_no_path_to_terminal():
-    machine = make_machine(
-        {"A": {"B", "C"}},
-        {("A", "go"): "B", ("A", "alt"): "C"},
-    )
+    machine = make_machine({("A", "go"): "B", ("A", "alt"): "C"})
     findings = check_machine(machine)
     assert codes(findings) == ["IC105"]
     assert findings[0].trace == (("A", "go", "B"),)
@@ -114,9 +89,7 @@ def test_ic105_no_path_to_terminal():
 
 def test_reachable_paths_are_minimal():
     machine = make_machine(
-        {"A": {"B"}, "B": {"C"}, "C": {}},
         {("A", "go"): "B", ("B", "fin"): "C", ("A", "skip"): "B"},
-        terminals=("C",),
     )
     paths = reachable_paths(machine)
     assert paths["A"] == []
@@ -124,17 +97,14 @@ def test_reachable_paths_are_minimal():
 
 
 def test_covering_paths_cover_every_event_arc():
-    machine = make_machine(
-        {"A": {"B"}, "B": {"C"}},
-        {("A", "go"): "B", ("B", "fin"): "C"},
-    )
+    machine = make_machine({("A", "go"): "B", ("B", "fin"): "C"})
     paths = event_paths_covering_all_edges(machine)
     last_arcs = {path[-1] for path in paths}
     assert last_arcs == {("A", "go", "B"), ("B", "fin", "C")}
 
 
 def test_real_machines_are_clean():
-    for machine in load_machines():
+    for machine in machines_by_name().values():
         assert check_machine(machine) == [], machine.name
 
 
@@ -143,12 +113,12 @@ def test_real_machines_are_clean():
 # ---------------------------------------------------------------------------
 
 
-def comp(name, initial, table, events, terminals=()):
-    return make_machine(table, events, initial=initial, terminals=terminals, name=name)
+def comp(name, initial, events, terminals=()):
+    return make_machine(events, initial=initial, terminals=terminals, name=name)
 
 
-A = comp("A", "X", {"X": {"Y"}}, {("X", "adv"): "Y"}, terminals=("Y",))
-B = comp("B", "P", {"P": {"Q"}}, {("P", "adv"): "Q"}, terminals=("Q",))
+A = comp("A", "X", {("X", "adv"): "Y"}, terminals=("Y",))
+B = comp("B", "P", {("P", "adv"): "Q"}, terminals=("Q",))
 
 ADV_A = ProductRule("adv_a", guard={"a": frozenset({"X"})}, update={"a": "Y"})
 
@@ -241,14 +211,14 @@ def test_recorder_observes_shared_transition_helper():
     try:
         recorder.install()
         box = _Box("A")
-        table = {"A": frozenset({"B"}), "B": frozenset({"A"})}
-        transition(box, "FIX", table, "B", ValueError)
-        transition(box, "FIX", table, "B", ValueError)  # same-state no-op
-        transition(box, "FIX", table, "A", ValueError)
+        fix = make_machine({("A", "go"): "B", ("B", "back"): "A"}, name="FIX")
+        transition(box, fix, "B", ValueError)
+        transition(box, fix, "B", ValueError)  # same-state no-op
+        transition(box, fix, "A", ValueError)
         recorder.uninstall()
         assert recorder.counts == {("FIX", "A", "B"): 1, ("FIX", "B", "A"): 1}
         # Uninstalled: further transitions are invisible.
-        transition(_Box("A"), "FIX", {"A": frozenset({"B"})}, "B", ValueError)
+        transition(_Box("A"), fix, "B", ValueError)
         assert sum(recorder.counts.values()) == 2
     finally:
         fsm_module._observers[:] = saved
@@ -281,11 +251,7 @@ def test_waiver_parsing():
         parse_waivers("QP RESET INIT missing arrow\n")
 
 
-FIX = make_machine(
-    {"A": {"B"}, "B": {"C"}},
-    {("A", "go"): "B", ("B", "fin"): "C"},
-    name="FIX",
-)
+FIX = make_machine({("A", "go"): "B", ("B", "fin"): "C"}, name="FIX")
 
 
 def test_ic301_undeclared_runtime_transition():
@@ -363,8 +329,8 @@ def test_cli_missing_records_is_usage_error(tmp_path):
 
 def _write_records(path, skip=()):
     transitions = []
-    for machine in load_machines():
-        for src, dst in sorted(machine.declared_pairs()):
+    for machine in machines_by_name().values():
+        for src, dst in sorted(declared_pairs(machine)):
             if (machine.name, src, dst) in skip:
                 continue
             transitions.append(

@@ -52,9 +52,9 @@ def line_of(root: Path, rel: str, marker: str) -> int:
     raise AssertionError(f"marker {marker!r} not found in {rel}")
 
 
-#: A conformant repro.core.verbs.qp — the mirrored table matches
-#: iwarplint.invariants.QP_TABLE exactly and all writes go through the
-#: validated helper.
+#: A conformant repro.core.verbs.qp — all writes go through the
+#: validated helper.  The states and legal moves the FSM rules check it
+#: against come from the live ``QP_FSM``.
 CLEAN_QP = """
     RESET = "RESET"
     INIT = "INIT"
@@ -63,25 +63,13 @@ CLEAN_QP = """
     SQD = "SQD"
     ERROR = "ERROR"
 
-    QP_TRANSITIONS = {
-        RESET: frozenset({INIT, RTS, ERROR}),
-        INIT: frozenset({RTR, RESET, ERROR}),
-        RTR: frozenset({RTS, RESET, ERROR}),
-        RTS: frozenset({SQD, RESET, ERROR}),
-        SQD: frozenset({RTS, RESET, ERROR}),
-        ERROR: frozenset({RESET}),
-    }
-
     class QueuePair:
         def __init__(self):
             self.state = RESET
 
         def _set_state(self, new_state):
-            if new_state == self.state:
-                return
-            if new_state not in QP_TRANSITIONS.get(self.state, frozenset()):
-                raise ValueError(new_state)
-            self.state = new_state
+            if new_state != self.state:
+                self.state = new_state
 
         def modify_qp(self, new_state):
             self._set_state(new_state)
@@ -104,7 +92,7 @@ class TestDriver:
     def test_all_rule_families_registered(self):
         table = all_rules()
         for code in ("IW001", "IW101", "IW102", "IW103", "IW201", "IW202",
-                     "IW203", "IW204", "IW301", "IW302", "IW303", "IW401",
+                     "IW203", "IW301", "IW302", "IW303", "IW401",
                      "IW402", "IW403", "IW501"):
             assert code in table
 
@@ -252,7 +240,7 @@ class TestFsm:
             "repro/core/verbs/qp.py": CLEAN_QP + """
         def demote(self):
             if self.state == RTS:
-                self._set_state(RTR)  # RTS -> RTR is not in the table
+                self._set_state(RTR)  # RTS -> RTR is not declared
     """,
         })
         (v,) = lint_paths([root])
@@ -292,17 +280,6 @@ class TestFsm:
     """,
         })
         assert codes(lint_paths([root])) == ["IW203"]
-
-    def test_table_drift_fires_iw204(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/core/verbs/qp.py": CLEAN_QP.replace(
-                "RTS: frozenset({SQD, RESET, ERROR}),",
-                "RTS: frozenset({RESET, ERROR}),",  # lost the SQD edge
-            ),
-        })
-        (v,) = lint_paths([root])
-        assert v.rule == "IW204"
-        assert "RTS" in v.message
 
     def test_unguarded_helper_call_left_to_runtime(self, tmp_path):
         # No enclosing guard: the source set is unknowable statically, so
@@ -615,6 +592,7 @@ class TestRealTree:
         )
         assert proc.returncode == 0
         assert "IW201" in proc.stdout and "IW403" in proc.stdout
+        assert "IW204" not in proc.stdout
 
     def test_cli_json_format_reports_violations(self, tmp_path):
         write_tree(tmp_path, {

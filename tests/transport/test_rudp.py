@@ -337,89 +337,17 @@ def test_sendto_accepts_memoryview(zero_testbed):
     assert got == [b"windowed view"]
 
 
-# ----------------------------------------------------------------------
-# Batched (delayed) acknowledgements
-# ----------------------------------------------------------------------
-
-def _batched_pair(zero_testbed, **kwargs):
-    a = _host_socket(zero_testbed, 0, 6000, rto_ns=2 * MS)
-    b = _host_socket(zero_testbed, 1, 6000, rto_ns=2 * MS, **kwargs)
-    return a, b
-
-
-def test_ack_batching_reduces_ack_traffic(zero_testbed):
+def test_every_arrival_is_acknowledged(zero_testbed):
+    """One ACK per data arrival: fast retransmit counts duplicate ACKs,
+    so the receiver never coalesces them."""
     tb = zero_testbed
-    a, b = _batched_pair(tb, ack_every=4)
+    a = _host_socket(tb, 0, 6000, rto_ns=2 * MS)
+    b = _host_socket(tb, 1, 6000, rto_ns=2 * MS)
     got = []
     b.on_message = lambda d, src: got.append(d)
     for i in range(8):
         a.sendto(bytes([i]), (1, 6000))
     tb.sim.run(until=1 * SEC)
     assert len(got) == 8
-    # Eight in-order arrivals, one ACK per four: the legacy mode's
-    # eight ACKs collapse to two (no anomaly, no timer flush needed).
-    assert b.acks_sent == 2
+    assert b.acks_sent == 8
     assert a.retransmissions == 0
-
-
-def test_ack_delay_timer_flushes_residue(zero_testbed):
-    """Fewer arrivals than ack_every: the pending-ACK timer must flush
-    before the sender's RTO, and its echo (seq 0) takes no RTT sample."""
-    tb = zero_testbed
-    a, b = _batched_pair(tb, ack_every=8)
-    got = []
-    b.on_message = lambda d, src: got.append(d)
-    a.sendto(b"lonely", (1, 6000))
-    tb.sim.run(until=1 * SEC)
-    assert got == [b"lonely"]
-    assert b.acks_sent == 1
-    assert a.retransmissions == 0  # timer beat the sender's RTO
-    assert a.unacked_messages((1, 6000)) == 0
-    assert a.rto_samples == 0  # echo 0 must not contaminate SRTT
-
-
-def test_anomaly_flushes_ack_immediately(zero_testbed):
-    """A gap must bypass batching: the out-of-order arrival ACKs at
-    once (carrying SACK), so fast retransmit keeps its timing."""
-    tb = zero_testbed
-    a, b = _batched_pair(tb, ack_every=64)
-    tb.set_egress_loss(0, ExplicitLoss([1]))
-    got = []
-    b.on_message = lambda d, src: got.append(d)
-    for i in range(6):
-        a.sendto(f"m{i}".encode(), (1, 6000))
-    tb.sim.run(until=1 * SEC)
-    assert got == [f"m{i}".encode() for i in range(6)]
-    # Every arrival past the gap was an anomaly -> immediate ACKs, not
-    # one ACK per 64.
-    assert b.acks_sent >= 5
-    assert a.retransmissions >= 1
-
-
-def test_batched_acks_in_order_under_loss(zero_testbed):
-    """End-to-end: batching changes ACK timing, never delivery."""
-    tb = zero_testbed
-    a, b = _batched_pair(tb, ack_every=4)
-    tb.set_egress_loss(0, BernoulliLoss(0.15, seed=9))
-    got = []
-    b.on_message = lambda d, src: got.append(d)
-    msgs = [f"msg-{i}".encode() for i in range(200)]
-    for m in msgs:
-        a.sendto(m, (1, 6000))
-    tb.sim.run(until=60 * SEC)
-    assert got == msgs  # exactly once, in order
-    assert b.acks_sent < len(msgs) + b.duplicates_dropped + a.retransmissions
-
-
-def test_fixed_rto_baseline_ignores_ack_every(zero_testbed):
-    """adaptive=False is the paper's original design; it predates
-    delayed ACKs and must keep acking every arrival."""
-    sock = _host_socket(zero_testbed, 0, 6000, adaptive=False, ack_every=16)
-    assert sock.ack_every == 1
-
-
-def test_ack_batching_parameters_validated(zero_testbed):
-    with pytest.raises(RudpError):
-        _host_socket(zero_testbed, 0, 6000, ack_every=0)
-    with pytest.raises(RudpError):
-        _host_socket(zero_testbed, 1, 6000, ack_delay_ns=0)

@@ -1,16 +1,14 @@
 """iwarpcheck — explicit-state model checking for the protocol FSMs.
 
-Where ``iwarplint`` checks the *source* against the declared transition
-tables, iwarpcheck checks the *tables themselves* and the runtime
-behaviour of the stack:
+Where ``iwarplint`` checks the *source* against the declared machines,
+iwarpcheck checks the *machines themselves* and the runtime behaviour
+of the stack:
 
-* :mod:`iwarpcheck.model` loads the four event-labelled machines (QP,
-  TCP, MPA, SCTP) straight from the ``repro`` modules that declare
-  them.
+* :mod:`iwarpcheck.model` loads the four live ``repro.core.fsm.Fsm``
+  machines (QP, TCP, MPA, SCTP) from the ``repro`` modules that
+  declare them.
 * :mod:`iwarpcheck.explore` exhaustively explores each machine:
-  unreachable states, states with no path to a terminal, dead declared
-  transitions, drift between the event-labelled table and the
-  ``(from, to)`` pair table that ``_set_state`` enforces.
+  unreachable states and states with no path to a terminal.
 * :mod:`iwarpcheck.product` builds the cross-layer RC product machine
   (QP x MPA x TCP) under a loss/dup/reorder/close event alphabet and
   checks the declared cross-layer invariants, reporting minimal
@@ -27,19 +25,18 @@ coverage pipeline.
 """
 
 from iwarpcheck.explore import check_machine, event_paths_covering_all_edges
-from iwarpcheck.model import Finding, Machine, load_machines
+from iwarpcheck.model import Finding, machines_by_name
 from iwarpcheck.product import ProductMachine, check_product, rc_product
 from iwarpcheck.sanitizer import TransitionRecorder, coverage_findings
 
 __all__ = [
     "Finding",
-    "Machine",
     "ProductMachine",
     "TransitionRecorder",
     "check_machine",
     "check_product",
     "coverage_findings",
     "event_paths_covering_all_edges",
-    "load_machines",
+    "machines_by_name",
     "rc_product",
 ]

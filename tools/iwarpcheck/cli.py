@@ -13,8 +13,10 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.fsm import Fsm
+
 from iwarpcheck.explore import check_machine
-from iwarpcheck.model import MACHINE_NAMES, Finding, load_machines
+from iwarpcheck.model import Finding, machines_by_name
 from iwarpcheck.product import check_product, rc_product
 from iwarpcheck.sanitizer import (
     RecordsError,
@@ -30,7 +32,7 @@ DEFAULT_WAIVERS = Path(__file__).resolve().parent / "waivers.txt"
 PRODUCT_COMPONENTS = ("QP", "MPA", "TCP")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(machine_names: Sequence[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iwarpcheck",
         description="Explicit-state model checking for the datagram-iWARP FSMs.",
@@ -45,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--machine",
         action="append",
         metavar="NAME",
-        help=f"restrict to one machine (repeatable; one of {', '.join(MACHINE_NAMES)})",
+        help=f"restrict to one machine (repeatable; one of {', '.join(machine_names)})",
     )
 
     coverage = sub.add_parser(
@@ -105,22 +107,20 @@ def _report(
     return 0
 
 
-def _run_check(args: argparse.Namespace) -> int:
-    machines = load_machines()
-    selected = list(MACHINE_NAMES)
+def _run_check(args: argparse.Namespace, by_name: Dict[str, Fsm]) -> int:
+    selected = list(by_name)
     if args.machine:
         selected = []
         for name in args.machine:
-            if name not in MACHINE_NAMES:
+            if name not in by_name:
                 print(
                     f"iwarpcheck: unknown machine {name!r} "
-                    f"(expected one of {', '.join(MACHINE_NAMES)})",
+                    f"(expected one of {', '.join(by_name)})",
                     file=sys.stderr,
                 )
                 return 2
             selected.append(name)
 
-    by_name = {machine.name: machine for machine in machines}
     findings: List[Finding] = []
     checked: List[str] = []
     for name in selected:
@@ -132,8 +132,8 @@ def _run_check(args: argparse.Namespace) -> int:
     return _report("check", findings, args, extra={"machines": checked})
 
 
-def _run_coverage(args: argparse.Namespace) -> int:
-    machines = load_machines()
+def _run_coverage(args: argparse.Namespace, by_name: Dict[str, Fsm]) -> int:
+    machines = list(by_name.values())
     try:
         records = load_records(args.records)
         waivers = load_waivers(args.waivers)
@@ -157,11 +157,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv[0] not in ("check", "coverage") and argv[0] not in ("-h", "--help")
     ):
         argv.insert(0, "check")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    by_name = machines_by_name()
+    args = _build_parser(list(by_name)).parse_args(argv)
     if args.command == "coverage":
-        return _run_coverage(args)
-    return _run_check(args)
+        return _run_coverage(args, by_name)
+    return _run_check(args, by_name)
 
 
 if __name__ == "__main__":

@@ -1,21 +1,21 @@
-"""Machine and Finding types, plus loaders for the stack's four FSMs.
+"""Finding type, plus the loader for the stack's four FSMs.
 
-A :class:`Machine` is the checker's view of one protocol state machine:
-the ``(from, to)`` pair table that ``_set_state`` enforces at runtime,
-the event-labelled table ``(state, event) -> state`` that gives every
-arc a protocol meaning, an initial state, and the set of terminal
-(quiescent) states every run must be able to reach.
-
-:func:`load_machines` imports the live ``repro`` modules and reads the
-tables they declare — the checker verifies what the stack actually
-ships, not a copy.
+The checker's view of a protocol state machine is the live
+:class:`repro.core.fsm.Fsm` itself: the event-labelled table
+``(state, event) -> state`` that gives every arc a protocol meaning,
+the ``(from, to)`` pairs ``_set_state`` enforces (derived from it), an
+initial state, and the terminal (quiescent) states every run must be
+able to reach.  :func:`machines_by_name` imports the modules that
+declare them — the checker verifies what the stack actually ships, not
+a copy.
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
+
+from repro.core.fsm import Fsm, declared_fsms
 
 #: One step of a counterexample trace: (from_state, event, to_state).
 #: Product traces use a composite state rendering on either side.
@@ -53,83 +53,11 @@ class Finding:
         }
 
 
-@dataclass(frozen=True)
-class Machine:
-    """One explicit-state machine under check."""
-
-    name: str
-    initial: str
-    terminals: FrozenSet[str]
-    #: Pair view enforced by ``_set_state``: state -> allowed next states.
-    table: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
-    #: Event-labelled view: (state, event) -> next state.
-    events: Mapping[Tuple[str, str], str] = field(default_factory=dict)
-
-    @property
-    def states(self) -> FrozenSet[str]:
-        """Every state the pair table declares (sources and targets)."""
-        everything = set(self.table) | {self.initial}
-        for targets in self.table.values():
-            everything |= targets
-        return frozenset(everything)
-
-    def declared_pairs(self) -> FrozenSet[Tuple[str, str]]:
-        return frozenset(
-            (src, dst) for src, targets in self.table.items() for dst in targets
-        )
-
-    def event_pairs(self) -> FrozenSet[Tuple[str, str]]:
-        return frozenset((src, dst) for (src, _event), dst in self.events.items())
-
-
-#: (machine name, owning module, table-name prefix, initial, terminals).
-#: The machine name is the exact string the module's ``_set_state``
-#: passes to ``repro.core.fsm.transition`` — the runtime coverage
-#: records key on it.
-MACHINE_SPECS: Sequence[Tuple[str, str, str, str, FrozenSet[str]]] = (
-    ("QP", "repro.core.verbs.qp", "QP", "RESET", frozenset({"ERROR"})),
-    (
-        "TCP",
-        "repro.transport.tcp.connection",
-        "TCP",
-        "CLOSED",
-        frozenset({"CLOSED"}),
-    ),
-    (
-        "MPA",
-        "repro.core.mpa.connection",
-        "MPA",
-        "NEGOTIATING",
-        frozenset({"FAILED"}),
-    ),
-    ("SCTP", "repro.transport.sctp", "SCTP", "CLOSED", frozenset({"CLOSED"})),
-)
-
-MACHINE_NAMES: Tuple[str, ...] = tuple(spec[0] for spec in MACHINE_SPECS)
-
-
-def load_machines() -> List[Machine]:
-    """Import the four FSM modules and build their Machine views.
+def machines_by_name() -> Dict[str, Fsm]:
+    """The stack's live machines keyed by :attr:`Fsm.name` — the exact
+    string the runtime coverage records key on.
 
     Requires ``src/`` on ``sys.path`` (the repo-root ``iwarpcheck.py``
     shim arranges this; under pytest, ``PYTHONPATH=src`` does).
     """
-    machines: List[Machine] = []
-    for name, module_name, prefix, initial, terminals in MACHINE_SPECS:
-        module = importlib.import_module(module_name)
-        table = getattr(module, f"{prefix}_TRANSITIONS")
-        events = getattr(module, f"{prefix}_EVENT_TRANSITIONS")
-        machines.append(
-            Machine(
-                name=name,
-                initial=initial,
-                terminals=terminals,
-                table=table,
-                events=events,
-            )
-        )
-    return machines
-
-
-def machines_by_name() -> Dict[str, Machine]:
-    return {machine.name: machine for machine in load_machines()}
+    return {fsm.name: fsm for fsm in declared_fsms().values()}

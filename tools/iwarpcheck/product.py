@@ -35,7 +35,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from iwarpcheck.model import Finding, Machine, TraceStep
+from repro.core.fsm import Fsm
+
+from iwarpcheck.model import Finding, TraceStep
 
 RULES: Dict[str, str] = {
     "IC201": "product rule applies a component move its pair table forbids",
@@ -83,7 +85,7 @@ class ProductInvariant:
 class ProductMachine:
     name: str
     components: Tuple[str, ...]
-    machines: Mapping[str, Machine]
+    machines: Mapping[str, Fsm]
     initial: Mapping[str, str]
     rules: Tuple[ProductRule, ...]
     invariants: Tuple[ProductInvariant, ...]
@@ -129,7 +131,7 @@ def _apply_rule(
         if target == current:
             continue
         machine = pm.machines[comp]
-        if target not in machine.table.get(current, frozenset()):
+        if target not in machine.pairs.get(current, ()):
             return None, (
                 f"rule {rule.event!r} moves {comp} {current} -> {target}, "
                 f"which {machine.name}'s pair table forbids"
@@ -293,11 +295,11 @@ _ANY_OPEN_TCP = frozenset(
 )
 
 
-def rc_product(machines: Mapping[str, Machine]) -> ProductMachine:
+def rc_product(machines: Mapping[str, Fsm]) -> ProductMachine:
     """QP x MPA x TCP for one RC endpoint (``RcQp`` over
     ``MpaConnection`` over ``TcpConnection``).
 
-    ``machines`` maps machine name ("QP", "MPA", "TCP") to its Machine;
+    ``machines`` maps machine name ("QP", "MPA", "TCP") to its Fsm;
     pass :func:`iwarpcheck.model.machines_by_name` output.  The event
     alphabet covers connection setup, MPA negotiation, the loss /
     duplication / reordering faults the datagram paper's network model

@@ -5,7 +5,7 @@ the loop against the *running* stack.  A :class:`TransitionRecorder`
 registers as an observer on ``repro.core.fsm`` — the single choke point
 every ``_set_state`` funnels through — and counts each ``(machine,
 from, to)`` the test suite actually takes.  The coverage gate then
-compares the recording against the declared pair tables:
+compares the recording against the declared ``(from, to)`` pairs:
 
 * **IC301** — the suite took a transition no table declares.  This
   cannot happen through ``_set_state`` (it would have raised), so it
@@ -29,9 +29,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
-from iwarpcheck.model import Finding, Machine
+from repro.core.fsm import Fsm
+
+from iwarpcheck.model import Finding
 
 RULES: Dict[str, str] = {
     "IC301": "runtime transition not declared by any table",
@@ -159,18 +161,23 @@ def load_records(path: str) -> Dict[Tuple[str, str, str], int]:
     return counts
 
 
+def declared_pairs(machine: Fsm) -> FrozenSet[Tuple[str, str]]:
+    """Every ``(from, to)`` move ``machine`` declares."""
+    return frozenset(
+        (src, dst) for src, targets in machine.pairs.items() for dst in targets
+    )
+
+
 def coverage_findings(
     records: Mapping[Tuple[str, str, str], int],
-    machines: Sequence[Machine],
+    machines: Sequence[Fsm],
     waivers: Iterable[Waiver] = (),
 ) -> List[Finding]:
     """Run the IC3xx coverage rules over one recording."""
     findings: List[Finding] = []
     by_name = {machine.name: machine for machine in machines}
 
-    declared: Dict[str, frozenset] = {
-        name: machine.declared_pairs() for name, machine in by_name.items()
-    }
+    declared = {name: declared_pairs(machine) for name, machine in by_name.items()}
     covered = {
         (machine, src, dst)
         for (machine, src, dst), count in records.items()
@@ -232,14 +239,14 @@ def coverage_findings(
 
 def coverage_summary(
     records: Mapping[Tuple[str, str, str], int],
-    machines: Sequence[Machine],
+    machines: Sequence[Fsm],
     waivers: Iterable[Waiver] = (),
 ) -> Dict[str, Dict[str, int]]:
     """Per-machine declared/covered/waived counts for reports."""
     waived_keys = {waiver.key for waiver in waivers}
     summary: Dict[str, Dict[str, int]] = {}
     for machine in machines:
-        pairs = machine.declared_pairs()
+        pairs = declared_pairs(machine)
         covered = sum(
             1
             for src, dst in pairs

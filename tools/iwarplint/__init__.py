@@ -9,7 +9,8 @@ invariants that ordinary linters cannot see but that the reproduction of
   with a declarative allowlist for the sanctioned datagram MPA-bypass.
 * **FSM conformance** (IW2xx) — every write to a QP/connection ``state``
   attribute goes through a validated ``_set_state`` helper, and every
-  statically-inferable transition is legal per the declared tables.
+  statically-inferable transition is legal per the live machine each
+  stack module declares (:class:`repro.core.fsm.Fsm`).
 * **Wire format** (IW3xx) — every ``struct`` format string in the
   protocol modules matches the declared header manifest byte-for-byte.
 * **Determinism** (IW4xx) — no wall-clock reads, unseeded randomness, or
@@ -19,7 +20,7 @@ invariants that ordinary linters cannot see but that the reproduction of
 Usage::
 
     python -m iwarplint src/            # from the repo root (via shim)
-    PYTHONPATH=tools python -m iwarplint src/
+    PYTHONPATH=tools:src python -m iwarplint src/
 
 Suppressions: append ``# iwarplint: disable=IW101`` to a line, or place
 ``# iwarplint: disable-file=IW101`` in the first ten lines of a file.

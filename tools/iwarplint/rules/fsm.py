@@ -1,19 +1,18 @@
 """IW2xx — FSM conformance for QP and connection state machines.
 
-For each :class:`~iwarplint.invariants.FsmSpec` this rule checks, inside
-the module that owns the FSM:
+For each live :class:`repro.core.fsm.Fsm` (one per module in
+``repro.core.fsm.FSM_MODULES``) this rule checks, inside the module
+that declares it:
 
-* **IW201** — a direct write to ``self.<attr>`` outside the validated
-  ``_set_state`` helper (the only permitted direct write is assigning an
-  initial state inside ``__init__``).
+* **IW201** — a direct write to ``self.state`` outside the validated
+  ``_set_state`` helper (the only permitted direct write is assigning
+  the machine's initial state inside ``__init__``).
 * **IW202** — a ``self._set_state(X)`` call whose statically-inferable
   source states (from enclosing ``self.state == S`` / ``in (..)`` guards,
   including early-``raise``/``return`` negations) include a state from
-  which the declared table forbids reaching ``X``.
+  which the machine declares no move to ``X``.
 * **IW203** — a state write or transition using a name that is not one
   of the machine's declared states.
-* **IW204** — the module-level transition table (``QP_TRANSITIONS`` etc.)
-  has drifted from the table declared in ``iwarplint.invariants``.
 
 Unguarded helper calls (source set = "could be anything") are left to
 the runtime validation inside ``_set_state`` itself: flagging them
@@ -25,34 +24,36 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from iwarplint import invariants as inv
+from repro.core.fsm import Fsm, declared_fsms
+
 from iwarplint.driver import SourceModule, Violation
-from iwarplint.invariants import FsmSpec
+from iwarplint.invariants import FSM_HELPER, FSM_STATE_ATTR
 
 RULES = {
     "IW201": "direct state write bypassing the validated _set_state helper",
-    "IW202": "guarded transition not permitted by the declared table",
+    "IW202": "guarded transition not permitted by the declared machine",
     "IW203": "state write/transition uses an undeclared state name",
-    "IW204": "module transition table drifted from iwarplint.invariants",
 }
 
 # ``None`` means "could be any state" (no usable guard information).
 Facts = Optional[FrozenSet[str]]
 
+#: module name -> the live machine it declares.
+_FSMS: Dict[str, Fsm] = declared_fsms()
+
 
 def check(module: SourceModule) -> Iterator[Violation]:
-    for spec in inv.FSM_SPECS:
-        if module.name != spec.module:
-            continue
-        consts = _state_constants(module.tree, spec)
-        yield from _check_table_drift(module, spec, consts)
-        for func, in_helper in _functions(module.tree, spec):
-            walker = _FsmWalker(module, spec, consts, func.name, in_helper)
-            walker.walk_block(func.body, None)
-            yield from walker.findings
+    fsm = _FSMS.get(module.name or "")
+    if fsm is None:
+        return
+    consts = _state_constants(module.tree)
+    for func in _functions(module.tree):
+        walker = _FsmWalker(module, fsm, consts, func.name)
+        walker.walk_block(func.body, None)
+        yield from walker.findings
 
 
-def _state_constants(tree: ast.Module, spec: FsmSpec) -> Dict[str, str]:
+def _state_constants(tree: ast.Module) -> Dict[str, str]:
     """Module-level ``NAME = "STRING"`` bindings for declared states."""
     consts: Dict[str, str] = {}
     for node in tree.body:
@@ -67,67 +68,10 @@ def _state_constants(tree: ast.Module, spec: FsmSpec) -> Dict[str, str]:
     return consts
 
 
-def _functions(tree: ast.Module, spec: FsmSpec) -> Iterator[Tuple[ast.FunctionDef, bool]]:
+def _functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, node.name == spec.helper
-
-
-def _check_table_drift(
-    module: SourceModule, spec: FsmSpec, consts: Dict[str, str]
-) -> Iterator[Violation]:
-    for node in module.tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        for target in targets:
-            if not (isinstance(target, ast.Name) and target.id == spec.table_name):
-                continue
-            declared = _eval_table(value, consts)
-            if declared is None:
-                yield module.violation(
-                    "IW204",
-                    node,
-                    f"{spec.table_name} is not a literal dict of state sets; "
-                    "iwarplint cannot verify it against the declared invariants",
-                )
-                return
-            expected = {src: frozenset(dsts) for src, dsts in spec.table.items()}
-            if declared != expected:
-                diffs = []
-                for state in sorted(set(declared) | set(expected)):
-                    have = declared.get(state)
-                    want = expected.get(state)
-                    if have != want:
-                        diffs.append(
-                            f"{state}: module={sorted(have) if have is not None else None} "
-                            f"invariants={sorted(want) if want is not None else None}"
-                        )
-                yield module.violation(
-                    "IW204",
-                    node,
-                    f"{spec.table_name} drifted from iwarplint.invariants "
-                    f"({'; '.join(diffs)})",
-                )
-            return
-
-
-def _eval_table(
-    value: Optional[ast.expr], consts: Dict[str, str]
-) -> Optional[Dict[str, FrozenSet[str]]]:
-    if not isinstance(value, ast.Dict):
-        return None
-    table: Dict[str, FrozenSet[str]] = {}
-    for key_node, val_node in zip(value.keys, value.values):
-        key = _state_of(key_node, consts)
-        vals = _state_set_of(val_node, consts)
-        if key is None or vals is None:
-            return None
-        table[key] = frozenset(vals)
-    return table
+            yield node
 
 
 def _state_of(node: Optional[ast.expr], consts: Dict[str, str]) -> Optional[str]:
@@ -167,22 +111,21 @@ class _FsmWalker:
     def __init__(
         self,
         module: SourceModule,
-        spec: FsmSpec,
+        fsm: Fsm,
         consts: Dict[str, str],
         func_name: str,
-        in_helper: bool,
     ) -> None:
         self.module = module
-        self.spec = spec
+        self.fsm = fsm
         self.consts = consts
         self.func_name = func_name
-        self.in_helper = in_helper
+        self.in_helper = func_name == FSM_HELPER
         self.findings: List[Violation] = []
 
     # -- facts algebra ---------------------------------------------------
 
     def _all_states(self) -> FrozenSet[str]:
-        return self.spec.states
+        return self.fsm.states
 
     def _intersect(self, a: Facts, b: Facts) -> Facts:
         if a is None:
@@ -196,7 +139,7 @@ class _FsmWalker:
     def _is_state_attr(self, node: ast.expr) -> bool:
         return (
             isinstance(node, ast.Attribute)
-            and node.attr == self.spec.attr
+            and node.attr == FSM_STATE_ATTR
             and isinstance(node.value, ast.Name)
             and node.value.id == "self"
         )
@@ -315,22 +258,22 @@ class _FsmWalker:
         state = _state_of(value, self.consts) if value is not None else None
         if self.in_helper:
             return frozenset({state}) if state is not None else None
-        if self.func_name == "__init__" and state is not None and state in self.spec.initial:
+        if self.func_name == "__init__" and state == self.fsm.initial:
             return frozenset({state})
         self.findings.append(
             self.module.violation(
                 "IW201",
                 node,
-                f"direct write to self.{self.spec.attr} in {self.func_name}(); "
-                f"route transitions through {self.spec.helper}()",
+                f"direct write to self.{FSM_STATE_ATTR} in {self.func_name}(); "
+                f"route transitions through {FSM_HELPER}()",
             )
         )
-        if state is not None and state not in self.spec.states:
+        if state is not None and state not in self.fsm.states:
             self.findings.append(
                 self.module.violation(
                     "IW203",
                     node,
-                    f"'{state}' is not a declared state of {self.spec.module}",
+                    f"'{state}' is not a declared state of {self.module.name}",
                 )
             )
         return frozenset({state}) if state is not None else None
@@ -339,7 +282,7 @@ class _FsmWalker:
         func = node.func
         if not (
             isinstance(func, ast.Attribute)
-            and func.attr == self.spec.helper
+            and func.attr == FSM_HELPER
             and isinstance(func.value, ast.Name)
             and func.value.id == "self"
         ):
@@ -349,12 +292,12 @@ class _FsmWalker:
         target = _state_of(node.args[0], self.consts)
         if target is None:
             return None  # dynamic argument: validated at runtime
-        if target not in self.spec.states:
+        if target not in self.fsm.states:
             self.findings.append(
                 self.module.violation(
                     "IW203",
                     node,
-                    f"'{target}' is not a declared state of {self.spec.module}",
+                    f"'{target}' is not a declared state of {self.module.name}",
                 )
             )
             return None
@@ -362,9 +305,7 @@ class _FsmWalker:
             bad = sorted(
                 s
                 for s in facts
-                if s != target
-                and target not in self.spec.any_targets
-                and target not in self.spec.table.get(s, frozenset())
+                if s != target and target not in self.fsm.pairs.get(s, ())
             )
             if bad:
                 self.findings.append(
@@ -372,7 +313,7 @@ class _FsmWalker:
                         "IW202",
                         node,
                         f"transition {'/'.join(bad)} -> {target} is not permitted "
-                        f"by {self.spec.table_name}",
+                        f"by the {self.fsm.name} machine",
                     )
                 )
         return frozenset({target})
