@@ -37,10 +37,12 @@ perf-check:
 		--threshold $(PERF_THRESHOLD)
 
 # Observability gate: metrics must not perturb the simulation (the
-# determinism test), exporters must hold their golden formats, and the
-# golden WR-lifecycle span sequences must be intact.
+# determinism test), exporters must hold their golden formats, every
+# exported series must match its golden, and the golden WR-lifecycle
+# span sequences must be intact.
 obs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		tests/obs/test_determinism.py \
 		tests/obs/test_export.py \
+		tests/obs/test_exported_series.py \
 		tests/obs/test_spans.py

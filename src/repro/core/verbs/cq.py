@@ -34,6 +34,13 @@ _cq_nums = itertools.count(1)
 class CompletionQueue:
     """FIFO of work completions shared by any number of QPs."""
 
+    #: Counters exported through :meth:`repro.obs.Registry.expose`.
+    OBS_FIELDS = (
+        ("verbs.cq.completions", "counter", "completions_total"),
+        ("verbs.cq.overflows", "counter", "overflows"),
+        ("verbs.cq.events", "counter", "events_raised"),
+    )
+
     def __init__(self, sim: Simulator, host: Optional[Host], depth: int = 4096):
         if depth < 1:
             raise CqError(f"CQ depth must be positive, got {depth}")
@@ -52,25 +59,13 @@ class CompletionQueue:
         self.events_raised = 0
         # Metrics (repro.obs): the poll-batch histogram is the one
         # event-push instrument here; the plain ints above stay the
-        # source of truth and are exposed via the pull collector.
+        # source of truth and are exposed through OBS_FIELDS.
         self.obs = sim_registry(sim)
         if self.obs.enabled:
-            self._poll_hist = self.obs.histogram(
-                "verbs.cq.poll_batch", **self._obs_labels()
-            )
-            self.obs.add_collector(self._obs_samples)
-
-    # -- metrics -----------------------------------------------------------
-
-    def _obs_labels(self) -> Dict[str, str]:
-        host = self.host.name if self.host is not None else ""
-        return {"cq": str(self.cq_num), "host": host}
-
-    def _obs_samples(self) -> Any:
-        labels = self._obs_labels()
-        yield ("verbs.cq.completions", labels, "counter", self.completions_total)
-        yield ("verbs.cq.overflows", labels, "counter", self.overflows)
-        yield ("verbs.cq.events", labels, "counter", self.events_raised)
+            labels = {"cq": str(self.cq_num),
+                      "host": host.name if host is not None else ""}
+            self._poll_hist = self.obs.histogram("verbs.cq.poll_batch", **labels)
+            self.obs.expose(self, labels, self.OBS_FIELDS)
 
     # -- event notification ------------------------------------------------
 

@@ -105,6 +105,15 @@ class QueuePair:
     """State and queues common to both QP types."""
 
     is_datagram = False
+    #: Counters exported through :meth:`repro.obs.Registry.expose`: the
+    #: RDMAP receive engine's, extended by each QP type with its own.
+    OBS_FIELDS = (
+        ("rdmap.rx.drops_no_recv_posted", "counter", "rx.drops_no_recv_posted"),
+        ("rdmap.rx.drops_malformed", "counter", "rx.drops_malformed"),
+        ("rdmap.rx.remote_access_errors", "counter", "rx.remote_access_errors"),
+        ("rdmap.rx.reaped_partial", "counter", "rx.reaped_partial"),
+        ("rdmap.rx.duplicate_segments", "counter", "rx.duplicate_segments"),
+    )
 
     def __init__(
         self, device: RnicDevice, pd: int, sq_cq: CompletionQueue, rq_cq: CompletionQueue
@@ -124,11 +133,10 @@ class QueuePair:
         self.terminate_reason: Optional[str] = None
         # Metrics (repro.obs): shared per-simulator registry.  Hot paths
         # guard on ``self.obs.enabled`` so a disabled registry costs one
-        # attribute read; the pull collector exposes the plain-int
-        # counters that remain the source of truth for tests.
+        # attribute read; OBS_FIELDS exposes the plain-int counters that
+        # remain the source of truth for tests.
         self.obs = sim_registry(device.sim)
-        if self.obs.enabled:
-            self.obs.add_collector(self._obs_samples)
+        self.obs.expose(self, self._obs_labels(), self.OBS_FIELDS)
 
     # -- state machine -----------------------------------------------------
 
@@ -155,26 +163,6 @@ class QueuePair:
 
     def _obs_labels(self) -> Dict[str, str]:
         return {"qp": str(self.qp_num), "host": self.host.name}
-
-    def _obs_samples(self) -> Any:
-        """Pull collector: the RDMAP receive engine's plain-int counters
-        plus the UD-specific ones, when this QP type keeps them."""
-        labels = self._obs_labels()
-        rx = self.rx
-        yield ("rdmap.rx.drops_no_recv_posted", labels, "counter", rx.drops_no_recv_posted)
-        yield ("rdmap.rx.drops_malformed", labels, "counter", rx.drops_malformed)
-        yield ("rdmap.rx.remote_access_errors", labels, "counter", rx.remote_access_errors)
-        yield ("rdmap.rx.reaped_partial", labels, "counter", rx.reaped_partial)
-        yield ("rdmap.rx.duplicate_segments", labels, "counter", rx.duplicate_segments)
-        for name, attr in (
-            ("verbs.qp.crc_drops", "crc_drops"),
-            ("verbs.qp.drops_closed", "drops_closed"),
-            ("verbs.qp.rd_flushed_wrs", "rd_flushed_wrs"),
-            ("verbs.qp.terminate_send_failures", "terminate_send_failures"),
-        ):
-            value = getattr(self, attr, None)
-            if value is not None:
-                yield (name, labels, "counter", value)
 
     def _note_completion(self, queue: str, wc: WorkCompletion) -> None:
         status = wc.status.name.lower()
@@ -337,6 +325,11 @@ class UdQp(QueuePair):
     """
 
     is_datagram = True
+    OBS_FIELDS = QueuePair.OBS_FIELDS + (
+        ("verbs.qp.crc_drops", "counter", "crc_drops"),
+        ("verbs.qp.drops_closed", "counter", "drops_closed"),
+        ("verbs.qp.rd_flushed_wrs", "counter", "rd_flushed_wrs"),
+    )
 
     def __init__(
         self,
@@ -537,6 +530,9 @@ class RcQp(QueuePair):
     """Connected QP over MPA/TCP — the traditional iWARP baseline."""
 
     is_datagram = False
+    OBS_FIELDS = QueuePair.OBS_FIELDS + (
+        ("verbs.qp.terminate_send_failures", "counter", "terminate_send_failures"),
+    )
 
     def __init__(
         self,
@@ -644,6 +640,7 @@ class RcSctpQp(QueuePair):
     §IV.A."""
 
     is_datagram = False
+    OBS_FIELDS = RcQp.OBS_FIELDS
 
     def __init__(
         self,

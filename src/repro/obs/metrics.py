@@ -14,15 +14,17 @@ The observability layer the evaluation figures lean on.  Design rules:
   ``tests/obs/test_determinism.py``).
 * **Hybrid push/pull.**  Genuinely new metrics are event-push
   instruments created through the registry.  The plain-int counters the
-  stack already keeps (NIC ports, RUDP, TCP, RDMAP) remain the source
-  of truth for existing tests; the registry exposes them through *pull
-  collectors* — callables that yield ``(name, labels, kind, value)``
-  samples at snapshot/export time, Prometheus-collector style.
+  stack already keeps (NIC ports, links, TCP, RUDP, CQs, QPs) remain
+  the source of truth; each class declares once, in a class-level
+  ``OBS_FIELDS`` table of :data:`Field` rows, which of them it exports,
+  and :meth:`Registry.expose` reads that table at snapshot/export time
+  (Prometheus-collector style — the hot paths never touch the registry).
 * **Documented naming scheme** (DESIGN.md §8): every metric name is
   ``layer.component.name`` — at least three lowercase dot-separated
   segments, first segment one of :data:`METRIC_LAYERS`.  Violations are
-  a runtime :class:`RegistryError` here and a static IW501 in iwarplint
-  (the pattern is mirrored in ``tools/iwarplint/invariants.py``).
+  a runtime :class:`RegistryError` here; iwarplint's IW501 calls
+  :func:`validate_name` on the literal names passed to the instrument
+  factories.
 
 One registry exists per :class:`~repro.simnet.engine.Simulator`, lazily
 attached by :func:`sim_registry` — per-testbed isolation without any
@@ -35,11 +37,10 @@ from __future__ import annotations
 import os
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-#: Mirrored in ``tools/iwarplint/invariants.py`` (IW501 checks source
-#: literals against the same pattern).
 METRIC_NAME_PATTERN = r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*){2,}$"
 
 #: Legal first segments: the stack layers plus the support layers that
@@ -55,9 +56,13 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 _NAME_RE = re.compile(METRIC_NAME_PATTERN)
 
 LabelItems = Tuple[Tuple[str, str], ...]
-#: What a pull collector yields: (name, labels, kind, value).
-CollectorSample = Tuple[str, Dict[str, str], str, Union[int, float]]
-Collector = Callable[[], Iterable[CollectorSample]]
+
+#: One exported counter: ``(name, kind, attribute path[, extra])``.
+#: The path may be dotted (``"rx.drops_malformed"``); a ``None`` value
+#: is skipped.  ``extra`` is a dict of fixed labels, or — for a dict
+#: value — the label its keys go under; a dict value without one
+#: appends each key to ``name`` (``"simnet.faults."`` + key).
+Field = Tuple[Any, ...]
 
 
 class RegistryError(Exception):
@@ -233,14 +238,16 @@ def _label_items(labels: Dict[str, Any]) -> LabelItems:
 
 
 class Registry:
-    """Named instruments plus pull collectors, with snapshot/export."""
+    """Named instruments plus exposed component counters, with
+    snapshot/export."""
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._instruments: Dict[Tuple[str, LabelItems], Any] = {}
         # name -> (kind, histogram edges or None): collision detection.
         self._kinds: Dict[str, Tuple[str, Optional[Tuple[float, ...]]]] = {}
-        self._collectors: List[Collector] = []
+        # (owner, labels, [(name, kind, getter, extra)]) per expose().
+        self._exposed: List[Tuple[Any, Dict[str, str], List[Tuple[Any, ...]]]] = []
         self._validated: set = set()  # names already regex-checked
 
     # -- instrument factories ---------------------------------------------
@@ -291,14 +298,35 @@ class Registry:
             name, "histogram", labels, edges=tuple(float(b) for b in buckets)
         )
 
-    # -- pull collectors ---------------------------------------------------
+    # -- exposed component counters ----------------------------------------
 
-    def add_collector(self, fn: Collector) -> None:
-        """Register a callable yielding ``(name, labels, kind, value)``
-        samples read at snapshot/export time.  No-op when disabled, so a
-        disabled registry holds no references into the stack."""
+    def expose(self, owner: Any, labels: Dict[str, str],
+               fields: Sequence[Field]) -> None:
+        """Export ``owner``'s attributes named by ``fields`` (see
+        :data:`Field`), read at snapshot/export time under ``labels``.
+        No-op when disabled, so a disabled registry holds no references
+        into the stack."""
         if self.enabled:
-            self._collectors.append(fn)
+            rows = [(name, kind, attrgetter(path), extra[0] if extra else None)
+                    for name, kind, path, *extra in fields]
+            self._exposed.append((owner, labels, rows))
+
+    def _pull(self) -> Iterator[Tuple[str, Dict[str, str], str, Union[int, float]]]:
+        for owner, labels, rows in self._exposed:
+            for name, kind, get, extra in rows:
+                value = get(owner)
+                if value is None:
+                    continue
+                if isinstance(value, dict):
+                    for key, v in value.items():
+                        if extra is None:
+                            yield name + key, labels, kind, v
+                        else:
+                            yield name, {extra: key, **labels}, kind, v
+                elif extra is None:
+                    yield name, labels, kind, value
+                else:
+                    yield name, {**extra, **labels}, kind, value
 
     # -- reading -----------------------------------------------------------
 
@@ -308,8 +336,8 @@ class Registry:
             self._validated.add(name)
 
     def collect(self) -> List[Sample]:
-        """Every sample: registry-owned instruments plus collector pulls,
-        sorted by (name, labels)."""
+        """Every sample: registry-owned instruments plus exposed
+        component counters, sorted by (name, labels)."""
         out: List[Sample] = []
         for (name, labels), inst in self._instruments.items():
             if isinstance(inst, Histogram):
@@ -318,10 +346,9 @@ class Registry:
                 out.append(Sample(name, labels, "gauge", inst.value))
             else:
                 out.append(Sample(name, labels, "counter", inst.value))
-        for fn in self._collectors:
-            for name, labels, kind, value in fn():
-                self._check_name(name)
-                out.append(Sample(name, _label_items(labels), kind, value))
+        for name, labels, kind, value in self._pull():
+            self._check_name(name)
+            out.append(Sample(name, _label_items(labels), kind, value))
         out.sort(key=lambda s: (s.name, s.labels))
         return out
 
@@ -337,8 +364,8 @@ class Registry:
 
     def reset(self) -> None:
         """Zero every registry-owned instrument, keeping registrations
-        (names, kinds, label sets, collectors).  Collector-backed values
-        live in the components and are not touched."""
+        (names, kinds, label sets, exposed owners).  Exposed values live
+        in the components and are not touched."""
         for inst in self._instruments.values():
             inst.reset()
 

@@ -41,9 +41,13 @@ Emission = Tuple[int, Frame]
 class FaultModel:
     """Base class: maps one offered frame to scheduled emissions."""
 
+    #: The model's counters: zeroed by ``__init__`` and :meth:`reset`,
+    #: reported by :meth:`stats`.  Subclasses extend it with their own.
+    COUNTERS: Tuple[str, ...] = ("seen", "dropped")
+
     def __init__(self) -> None:
-        self.seen = 0
-        self.dropped = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def admit(self, frame: Frame, now: int) -> List[Emission]:
         """Offer ``frame`` to the model at simulated time ``now``."""
@@ -57,14 +61,14 @@ class FaultModel:
         raise NotImplementedError
 
     def stats(self) -> Dict[str, int]:
-        """Uniform counter dict (subclasses extend with their own keys);
-        read by the NIC port's metrics collector."""
-        return {"seen": self.seen, "dropped": self.dropped}
+        """Uniform counter dict keyed by :data:`COUNTERS`; exported by
+        the NIC port it is attached to."""
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
     def reset(self) -> None:
         """Restore the model to its initial state (reseeding RNGs)."""
-        self.seen = 0
-        self.dropped = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
 
 class LossFault(FaultModel):
@@ -90,6 +94,8 @@ class DelayJitter(FaultModel):
     ``[0, jitter_ns]`` plus, with probability ``spike_prob``, a latency
     spike of ``spike_ns`` (a GC pause, a congested queue upstream...)."""
 
+    COUNTERS = FaultModel.COUNTERS + ("delayed", "spikes")
+
     def __init__(
         self,
         jitter_ns: int,
@@ -107,8 +113,6 @@ class DelayJitter(FaultModel):
         self.spike_prob = spike_prob
         self.seed = seed
         self._rng = random.Random(seed ^ 0xD31A)
-        self.delayed = 0
-        self.spikes = 0
 
     def _admit(self, frame: Frame, now: int) -> List[Emission]:
         delay = self._rng.randrange(self.jitter_ns + 1) if self.jitter_ns else 0
@@ -119,22 +123,16 @@ class DelayJitter(FaultModel):
             self.delayed += 1
         return [(delay, frame)]
 
-    def stats(self) -> Dict[str, int]:
-        out = super().stats()
-        out["delayed"] = self.delayed
-        out["spikes"] = self.spikes
-        return out
-
     def reset(self) -> None:
         super().reset()
         self._rng = random.Random(self.seed ^ 0xD31A)
-        self.delayed = 0
-        self.spikes = 0
 
 
 class Reorder(FaultModel):
     """netem-style reordering: with probability ``prob`` a frame is held
     for ``hold_ns`` so frames offered after it reach the wire first."""
+
+    COUNTERS = FaultModel.COUNTERS + ("reordered",)
 
     def __init__(self, prob: float, hold_ns: int, seed: int = 0):
         super().__init__()
@@ -146,7 +144,6 @@ class Reorder(FaultModel):
         self.hold_ns = int(hold_ns)
         self.seed = seed
         self._rng = random.Random(seed ^ 0x0DD5)
-        self.reordered = 0
 
     def _admit(self, frame: Frame, now: int) -> List[Emission]:
         if self.prob > 0.0 and self._rng.random() < self.prob:
@@ -154,20 +151,16 @@ class Reorder(FaultModel):
             return [(self.hold_ns, frame)]
         return [(0, frame)]
 
-    def stats(self) -> Dict[str, int]:
-        out = super().stats()
-        out["reordered"] = self.reordered
-        return out
-
     def reset(self) -> None:
         super().reset()
         self._rng = random.Random(self.seed ^ 0x0DD5)
-        self.reordered = 0
 
 
 class Duplicate(FaultModel):
     """With probability ``prob``, emit an extra copy of the frame (the
     payload bytes are immutable, so both copies share them safely)."""
+
+    COUNTERS = FaultModel.COUNTERS + ("duplicated",)
 
     def __init__(self, prob: float, seed: int = 0):
         super().__init__()
@@ -176,7 +169,6 @@ class Duplicate(FaultModel):
         self.prob = prob
         self.seed = seed
         self._rng = random.Random(seed ^ 0xD0B)
-        self.duplicated = 0
 
     def _admit(self, frame: Frame, now: int) -> List[Emission]:
         if self.prob > 0.0 and self._rng.random() < self.prob:
@@ -184,15 +176,9 @@ class Duplicate(FaultModel):
             return [(0, frame), (0, frame)]
         return [(0, frame)]
 
-    def stats(self) -> Dict[str, int]:
-        out = super().stats()
-        out["duplicated"] = self.duplicated
-        return out
-
     def reset(self) -> None:
         super().reset()
         self._rng = random.Random(self.seed ^ 0xD0B)
-        self.duplicated = 0
 
 
 class LinkFlap(FaultModel):

@@ -83,7 +83,7 @@ def build_testbed(
     ``metrics`` pins the simulator's :mod:`repro.obs` registry state
     (``None`` defers to the ``IWARP_OBS`` environment switch).  The
     registry is resolved *before* any host or port exists so every
-    component collector sees the final enabled state."""
+    component that exposes counters sees the final enabled state."""
     if n_hosts < 2:
         raise ValueError("a testbed needs at least two hosts")
     platform = platform or Platform.paper_testbed()

@@ -134,18 +134,6 @@ class PeerStats:
     srtt_ns: float = 0.0
     rto_ns: int = 0
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "retransmissions": self.retransmissions,
-            "fast_retransmits": self.fast_retransmits,
-            "timeouts": self.timeouts,
-            "backoff_events": self.backoff_events,
-            "rto_samples": self.rto_samples,
-            "sack_blocks": self.sack_blocks,
-            "srtt_ns": self.srtt_ns,
-            "rto_ns": self.rto_ns,
-        }
-
 
 class _PeerTx:
     """Sender-side state toward one peer."""
@@ -197,6 +185,17 @@ class RudpSocket:
     robustness benchmarks compare against.
     """
 
+    #: Aggregate counters (all peers): what :meth:`stats` returns, each
+    #: also exported as ``transport.rudp.<name>``.
+    STATS = (
+        "retransmissions", "fast_retransmits", "timeouts", "backoff_events",
+        "rto_samples", "sack_blocks_received", "duplicates_dropped",
+        "acks_sent", "peer_failures", "messages_failed",
+    )
+    OBS_FIELDS = tuple(("transport.rudp." + k, "counter", k) for k in STATS) + (
+        ("transport.rudp.retransmits", "counter", "retransmits_by_cause", "cause"),
+    )
+
     def __init__(
         self,
         udp: UdpSocket,
@@ -230,16 +229,8 @@ class RudpSocket:
         self._waiters: Deque[Future] = deque()
         udp.on_datagram = self._on_datagram
         # Statistics (aggregate across peers; per-peer via peer_stats()).
-        self.retransmissions = 0
-        self.fast_retransmits = 0
-        self.timeouts = 0
-        self.backoff_events = 0
-        self.rto_samples = 0
-        self.sack_blocks_received = 0
-        self.duplicates_dropped = 0
-        self.acks_sent = 0
-        self.peer_failures = 0
-        self.messages_failed = 0
+        for name in self.STATS:
+            setattr(self, name, 0)
         # Every retransmission attributed to the mechanism that fired it:
         # RTO expiry, fast retransmit (the dup-ACK-triggered hole), the
         # extra SACK-inferred hole resends in the same recovery round, or
@@ -248,24 +239,9 @@ class RudpSocket:
             "rto": 0, "fast": 0, "sack": 0, "partial_ack": 0,
         }
         self.host = udp.stack.host
-        self.obs = sim_registry(self.sim)
-        if self.obs.enabled:
-            self.obs.add_collector(self._obs_samples)
-
-    def _obs_samples(self):
-        """Pull collector: the aggregate ints (still the source of truth
-        for ``stats()``) as ``transport.rudp.*`` series, plus the
-        per-cause retransmit breakdown."""
-        labels = {"host": self.host.name, "port": str(self.port)}
-        for key, value in self.stats().items():
-            yield ("transport.rudp." + key, labels, "counter", value)
-        for cause in sorted(self.retransmits_by_cause):
-            yield (
-                "transport.rudp.retransmits",
-                {"cause": cause, **labels},
-                "counter",
-                self.retransmits_by_cause[cause],
-            )
+        sim_registry(self.sim).expose(
+            self, {"host": self.host.name, "port": str(udp.port)}, self.OBS_FIELDS
+        )
 
     @property
     def port(self) -> int:
@@ -604,19 +580,8 @@ class RudpSocket:
         return tx.stats
 
     def stats(self) -> Dict[str, int]:
-        """Aggregate reliability counters (all peers)."""
-        return {
-            "retransmissions": self.retransmissions,
-            "fast_retransmits": self.fast_retransmits,
-            "timeouts": self.timeouts,
-            "backoff_events": self.backoff_events,
-            "rto_samples": self.rto_samples,
-            "sack_blocks_received": self.sack_blocks_received,
-            "duplicates_dropped": self.duplicates_dropped,
-            "acks_sent": self.acks_sent,
-            "peer_failures": self.peer_failures,
-            "messages_failed": self.messages_failed,
-        }
+        """Aggregate reliability counters (all peers), keyed by :data:`STATS`."""
+        return {k: getattr(self, k) for k in self.STATS}
 
     # -- teardown ---------------------------------------------------------
 

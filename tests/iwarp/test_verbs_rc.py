@@ -5,8 +5,13 @@ import pytest
 from repro.core.verbs import (
     QpError, RecvWR, SendWR, Sge, WcStatus, WrOpcode,
 )
+from repro.core.verbs.device import RnicDevice
 from repro.memory.region import Access
+from repro.models.costs import zero_cost_model
+from repro.obs import sim_registry
 from repro.simnet.engine import MS, SEC
+from repro.simnet.topology import build_testbed
+from repro.transport.stacks import install_stacks
 
 RUN_LIMIT = 600 * SEC
 
@@ -14,16 +19,27 @@ RUN_LIMIT = 600 * SEC
 @pytest.fixture
 def rc(zero_testbed, zero_devices):
     """An established RC pair (host0 active, host1 passive)."""
-    devA, devB = zero_devices
+    return _establish(zero_testbed, zero_devices)
+
+
+@pytest.fixture
+def rc_metrics():
+    """The same RC pair on a testbed with the metrics registry enabled."""
+    tb = build_testbed(2, costs=zero_cost_model(), metrics=True)
+    return _establish(tb, [RnicDevice(n) for n in install_stacks(tb)])
+
+
+def _establish(testbed, devices):
+    devA, devB = devices
     pdA, pdB = devA.alloc_pd(), devB.alloc_pd()
     cqA, cqB = devA.create_cq(), devB.create_cq()
     listener = devB.rc_listen(4791, pdB, lambda: cqB)
     qpA = devA.rc_connect((1, 4791), pdA, cqA)
     accepted = listener.accept_future()
-    zero_testbed.sim.run_until(qpA.ready, limit=RUN_LIMIT)
-    zero_testbed.sim.run_until(accepted, limit=RUN_LIMIT)
+    testbed.sim.run_until(qpA.ready, limit=RUN_LIMIT)
+    testbed.sim.run_until(accepted, limit=RUN_LIMIT)
     return {
-        "tb": zero_testbed, "sim": zero_testbed.sim,
+        "tb": testbed, "sim": testbed.sim,
         "devs": (devA, devB), "pds": (pdA, pdB),
         "cqs": (cqA, cqB), "qps": (qpA, accepted.value),
     }
@@ -56,18 +72,20 @@ class TestConnection:
             zero_testbed.sim.run_until(qp.ready, limit=RUN_LIMIT)
             assert qp.state == "RTS"
 
-    def test_terminate_on_half_closed_stream_is_counted(self, rc):
+    def test_terminate_on_half_closed_stream_is_counted(self, rc_metrics):
         """A TERMINATE queued after the application half-closed the
         stream cannot leave: it is counted, never raised out of the
         event loop, and the QP still reaches ERROR."""
+        rc = rc_metrics
         qp = rc["qps"][0]
         qp.mpa.close()
         qp.terminate("local fatal error")
         assert qp.state == "ERROR"
         rc["sim"].run(until=rc["sim"].now + 1 * SEC)
         assert qp.terminate_send_failures == 1
-        samples = {name: value for name, _labels, _kind, value in qp._obs_samples()}
-        assert samples["verbs.qp.terminate_send_failures"] == 1
+        snapshot = sim_registry(rc["sim"]).snapshot()
+        key = f'verbs.qp.terminate_send_failures{{host="host0",qp="{qp.qp_num}"}}'
+        assert snapshot[key] == 1
 
 
 class TestSendRecv:

@@ -3,25 +3,40 @@
 import pytest
 
 from repro.core.verbs import RecvWR, SendWR, Sge, WrOpcode
-from repro.core.verbs.device import DeviceError
+from repro.core.verbs.device import DeviceError, RnicDevice
 from repro.memory.region import Access
+from repro.models.costs import zero_cost_model
+from repro.obs import sim_registry
 from repro.simnet.engine import MS, SEC
 from repro.simnet.loss import BernoulliLoss
+from repro.simnet.topology import build_testbed
+from repro.transport.stacks import install_stacks
 
 RUN_LIMIT = 600 * SEC
 
 
 @pytest.fixture
 def rc_sctp(zero_testbed, zero_devices):
-    devA, devB = zero_devices
+    return _establish(zero_testbed, zero_devices)
+
+
+@pytest.fixture
+def rc_sctp_metrics():
+    """The same pair on a testbed with the metrics registry enabled."""
+    tb = build_testbed(2, costs=zero_cost_model(), metrics=True)
+    return _establish(tb, [RnicDevice(n) for n in install_stacks(tb)])
+
+
+def _establish(testbed, devices):
+    devA, devB = devices
     pdA, pdB = devA.alloc_pd(), devB.alloc_pd()
     cqA, cqB = devA.create_cq(), devB.create_cq()
     listener = devB.rc_listen(4792, pdB, lambda: cqB, transport="sctp")
     qpA = devA.rc_connect((1, 4792), pdA, cqA, transport="sctp")
     accepted = listener.accept_future()
-    zero_testbed.sim.run_until(qpA.ready, limit=RUN_LIMIT)
-    zero_testbed.sim.run_until(accepted, limit=RUN_LIMIT)
-    return dict(tb=zero_testbed, sim=zero_testbed.sim, devs=(devA, devB),
+    testbed.sim.run_until(qpA.ready, limit=RUN_LIMIT)
+    testbed.sim.run_until(accepted, limit=RUN_LIMIT)
+    return dict(tb=testbed, sim=testbed.sim, devs=(devA, devB),
                 pds=(pdA, pdB), cqs=(cqA, cqB), qps=(qpA, accepted.value))
 
 
@@ -107,15 +122,17 @@ def test_no_posted_receive_is_fatal(rc_sctp):
     assert rc_sctp["qps"][0].state == "ERROR"  # TERMINATE propagated
 
 
-def test_terminate_on_shut_down_association_is_counted(rc_sctp):
+def test_terminate_on_shut_down_association_is_counted(rc_sctp_metrics):
     """A TERMINATE queued behind an application shutdown cannot leave:
     it is counted, never raised out of the event loop, and the QP still
     reaches ERROR."""
+    rc_sctp = rc_sctp_metrics
     qp = rc_sctp["qps"][0]
     qp.assoc.shutdown()
     qp.terminate("local fatal error")
     assert qp.state == "ERROR"
     rc_sctp["sim"].run(until=rc_sctp["sim"].now + 200 * MS)
     assert qp.terminate_send_failures == 1
-    samples = {name: value for name, _labels, _kind, value in qp._obs_samples()}
-    assert samples["verbs.qp.terminate_send_failures"] == 1
+    snapshot = sim_registry(rc_sctp["sim"]).snapshot()
+    key = f'verbs.qp.terminate_send_failures{{host="host0",qp="{qp.qp_num}"}}'
+    assert snapshot[key] == 1

@@ -1,4 +1,5 @@
-"""Registry semantics: naming scheme, collisions, reset, disabled mode."""
+"""Registry semantics: naming scheme, collisions, reset, disabled mode,
+exposed component counters."""
 
 import pytest
 
@@ -6,6 +7,27 @@ from repro.obs import (
     NULL_INSTRUMENT, Registry, RegistryError, diff, sim_registry,
     validate_name,
 )
+
+
+class _Port:
+    """A small owner object with every shape of exported field."""
+
+    OBS_FIELDS = (
+        ("simnet.port.tx_frames", "counter", "tx_frames"),
+        ("simnet.port.queue_hwm", "gauge", "queue.hwm"),
+        ("simnet.port.frames", "counter", "rx_frames", {"dir": "rx"}),
+        ("simnet.port.drops", "counter", "drops", "cause"),
+        ("simnet.faults.", "counter", "faults"),
+        ("simnet.port.absent", "counter", "absent"),
+    )
+
+    def __init__(self):
+        self.tx_frames = 0
+        self.queue = type("Queue", (), {"hwm": 3})()
+        self.rx_frames = 2
+        self.drops = {"full": 1, "loss": 4}
+        self.faults = {"seen": 9}
+        self.absent = None
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +112,11 @@ def test_disabled_registry_hands_out_null_instruments():
     assert reg.histogram("verbs.cq.poll_batch") is NULL_INSTRUMENT
     c.inc()
     c.inc(10)
-    reg.add_collector(lambda: [("simnet.port.tx_frames", {}, "counter", 1)])
+    reg.expose(_Port(), {}, _Port.OBS_FIELDS)
     assert reg.collect() == []
     assert reg.snapshot() == {}
     # Disabled registries keep no references into the stack.
-    assert reg._collectors == []
+    assert reg._exposed == []
     assert reg._instruments == {}
 
 
@@ -128,12 +150,42 @@ def test_reset_zeroes_values_keeps_registrations():
 
 def test_reset_does_not_touch_collector_backed_values():
     reg = Registry(enabled=True)
-    backing = {"n": 5}
-    reg.add_collector(
-        lambda: [("simnet.port.tx_frames", {}, "counter", backing["n"])]
-    )
+    port = _Port()
+    reg.expose(port, {}, _Port.OBS_FIELDS)
+    port.tx_frames = 5
     reg.reset()
     assert reg.snapshot()["simnet.port.tx_frames"] == 5
+    assert port.tx_frames == 5
+
+
+# ---------------------------------------------------------------------------
+# expose(): declared fields read at snapshot time
+# ---------------------------------------------------------------------------
+
+
+def test_expose_reads_declared_fields_at_snapshot_time():
+    reg = Registry(enabled=True)
+    port = _Port()
+    reg.expose(port, {"port": "p0"}, _Port.OBS_FIELDS)
+    port.tx_frames = 7  # pulled when snapshotted, not when exposed
+    assert reg.snapshot() == {
+        'simnet.faults.seen{port="p0"}': 9,
+        'simnet.port.drops{cause="full",port="p0"}': 1,
+        'simnet.port.drops{cause="loss",port="p0"}': 4,
+        'simnet.port.frames{dir="rx",port="p0"}': 2,
+        'simnet.port.queue_hwm{port="p0"}': 3,
+        'simnet.port.tx_frames{port="p0"}': 7,
+    }
+    kinds = {s.name: s.kind for s in reg.collect()}
+    assert kinds["simnet.port.queue_hwm"] == "gauge"
+    assert kinds["simnet.port.tx_frames"] == "counter"
+
+
+def test_expose_validates_names_at_snapshot_time():
+    reg = Registry(enabled=True)
+    reg.expose(_Port(), {}, (("port.tx_frames", "counter", "tx_frames"),))
+    with pytest.raises(RegistryError):
+        reg.snapshot()
 
 
 # ---------------------------------------------------------------------------

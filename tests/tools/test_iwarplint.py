@@ -457,6 +457,7 @@ class TestMetricNaming:
         (v,) = lint_paths([root])
         assert v.rule == "IW501"
         assert v.line == line_of(root, "repro/core/verbs/qp.py", "two segments")
+        assert "'verbs.posts' does not match the layer.component.name" in v.message
 
     def test_unknown_layer_fires_iw501(self, tmp_path):
         root = write_tree(tmp_path, {
@@ -490,8 +491,8 @@ class TestMetricNaming:
         assert lint_paths([root]) == []
 
     def test_computed_names_left_to_runtime(self, tmp_path):
-        # Pull collectors build names from prefixes; the registry's own
-        # validate_name covers those on every collect().
+        # Names built from prefixes (an OBS_FIELDS dict suffix, say) are
+        # covered by the registry's own validate_name on every collect().
         root = write_tree(tmp_path, {
             "repro/transport/rudp_extra.py": """
                 def instrument(obs, key):

@@ -201,20 +201,8 @@ ORDER_INSENSITIVE_WRAPPERS: FrozenSet[str] = frozenset(
 # Metric naming (IW5xx)
 # ---------------------------------------------------------------------------
 #
-# Mirrors repro.obs.metrics: every metric name handed to a registry
-# instrument factory must follow ``layer.component.name`` — at least
-# three lowercase dot-separated segments, first segment a known layer.
-# The runtime raises RegistryError on violations; IW501 catches the
-# literal statically, before any test has to execute the call site.
-
-METRIC_NAME_PATTERN = r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*){2,}$"
-
-METRIC_LAYERS: FrozenSet[str] = frozenset(
-    {
-        "apps", "bench", "socketif", "verbs", "rdmap", "ddp", "mpa",
-        "transport", "simnet", "memory", "models", "obs",
-    }
-)
+# The naming scheme itself lives in repro.obs.metrics (validate_name);
+# IW501 calls it on every literal name handed to these factories.
 
 #: Registry factory method names whose first positional argument is a
 #: metric name.

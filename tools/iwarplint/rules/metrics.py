@@ -2,31 +2,29 @@
 
 Every string-literal metric name passed to a registry instrument
 factory (``.counter(...)`` / ``.gauge(...)`` / ``.histogram(...)``)
-must follow the ``layer.component.name`` scheme mirrored from
-``repro.obs.metrics``: at least three lowercase dot-separated segments,
-first segment a known layer.  The runtime raises ``RegistryError`` for
-the same violations, but only on code paths a test happens to execute
-with metrics enabled; IW501 catches the literal at lint time.
+must follow the ``layer.component.name`` scheme; IW501 passes it to
+the registry's own :func:`repro.obs.metrics.validate_name`.  The runtime
+raises ``RegistryError`` for the same violations, but only on code
+paths a test happens to execute with metrics enabled; IW501 catches the
+literal at lint time.
 
-Non-literal names (computed prefixes in pull collectors) are left to
-the runtime check — collectors run on every ``collect()``, so those
-names cannot stay unvalidated for long.
+Non-literal names are left to the runtime check, which runs on every
+``collect()``.  The names classes declare in their ``OBS_FIELDS``
+tables are checked by ``tests/obs/test_obs_fields.py``.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator, Optional
 
 from iwarplint import invariants as inv
 from iwarplint.driver import SourceModule, Violation
+from repro.obs.metrics import RegistryError, validate_name
 
 RULES = {
     "IW501": "metric name violates the layer.component.name scheme",
 }
-
-_NAME_RE = re.compile(inv.METRIC_NAME_PATTERN)
 
 #: Only repro code (and fixtures shaped like it) is in scope; the tools
 #: themselves and loose scripts are not.
@@ -37,22 +35,6 @@ def _watched(name: Optional[str]) -> bool:
     return name is not None and (
         name == _WATCHED_PREFIX or name.startswith(_WATCHED_PREFIX + ".")
     )
-
-
-def _bad_name(name: str) -> Optional[str]:
-    """Reason ``name`` violates the scheme, or None if it conforms."""
-    if not _NAME_RE.match(name):
-        return (
-            f"metric name '{name}' does not match layer.component.name "
-            f"(pattern {inv.METRIC_NAME_PATTERN})"
-        )
-    layer = name.split(".", 1)[0]
-    if layer not in inv.METRIC_LAYERS:
-        return (
-            f"metric name '{name}' starts with unknown layer '{layer}' "
-            f"(known: {', '.join(sorted(inv.METRIC_LAYERS))})"
-        )
-    return None
 
 
 def check(module: SourceModule) -> Iterator[Violation]:
@@ -69,6 +51,7 @@ def check(module: SourceModule) -> Iterator[Violation]:
         name_node = node.args[0]
         if not (isinstance(name_node, ast.Constant) and isinstance(name_node.value, str)):
             continue  # computed names are validated at runtime
-        reason = _bad_name(name_node.value)
-        if reason is not None:
-            yield module.violation("IW501", node, reason)
+        try:
+            validate_name(name_node.value)
+        except RegistryError as exc:
+            yield module.violation("IW501", node, str(exc))
