@@ -12,8 +12,9 @@ from __future__ import annotations
 import struct
 import zlib
 
-CRC_SIZE = 4
-_CRC = struct.Struct("!I")
+#: The 4-byte CRC trailer (RFC 5044), shared by MPA FPDUs and UD segments.
+CRC = struct.Struct("!I")
+CRC_SIZE = CRC.size
 
 
 def crc32(data: bytes, seed: int = 0) -> int:
@@ -22,7 +23,7 @@ def crc32(data: bytes, seed: int = 0) -> int:
 
 def append_crc(data: bytes) -> bytes:
     """``data`` with its 4-byte CRC trailer."""
-    return data + _CRC.pack(crc32(data))
+    return data + CRC.pack(crc32(data))
 
 
 class CrcError(Exception):
@@ -34,7 +35,7 @@ def split_and_verify(data: bytes) -> bytes:
     if len(data) < CRC_SIZE:
         raise CrcError(f"{len(data)} bytes cannot hold a CRC trailer")
     body, trailer = data[:-CRC_SIZE], data[-CRC_SIZE:]
-    (expect,) = _CRC.unpack(trailer)
+    (expect,) = CRC.unpack(trailer)
     actual = crc32(body)
     if actual != expect:
         raise CrcError(f"CRC mismatch: computed {actual:#010x}, trailer {expect:#010x}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import struct
 from typing import Optional, Tuple
 
-from .crc import CRC_SIZE, CrcError, append_crc, crc32
+from .crc import CRC, CRC_SIZE, CrcError, append_crc, crc32
 
 _LEN = struct.Struct("!H")
 LEN_SIZE = _LEN.size
@@ -63,7 +63,7 @@ def parse_fpdu(buf: bytes, offset: int, crc_enabled: bool = True) -> Optional[Tu
     frame = bytes(buf[offset : offset + total])
     if crc_enabled:
         body = frame[:-CRC_SIZE]
-        (expect,) = struct.unpack("!I", frame[-CRC_SIZE:])
+        (expect,) = CRC.unpack(frame[-CRC_SIZE:])
         actual = crc32(body)
         if actual != expect:
             raise CrcError(

@@ -1,4 +1,5 @@
-"""Queue pairs: RC (connected, over MPA/TCP) and UD (datagram, over UDP).
+"""Queue pairs: RC (connected, over TCP+MPA or SCTP) and UD (datagram,
+over UDP or reliable UDP).
 
 The datagram QP is the paper's central verbs extension (§IV.B item 4):
 "We require a datagram type QP, as well as a method for initializing
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Set
+from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Set, Union
 
 from ..fsm import Fsm, transition as _fsm_transition
 
@@ -27,14 +28,14 @@ from ...obs import sim_registry, wr_span
 from ...simnet.engine import Future
 from ...transport.ip import IP_HEADER
 from ...transport.rudp import RUDP_HEADER, RudpSocket
-from ...transport.sctp import SctpAssociation, SctpError
+from ...transport.sctp import CLOSED as SCTP_CLOSED, SctpAssociation, SctpError
 from ...transport.tcp.connection import TcpError
 from ...transport.udp import UDP_HEADER, UDP_MAX_PAYLOAD
 from ..ddp.headers import (
     CTRL_SIZE, OP_TERMINATE, TAGGED_SIZE, UDEXT_SIZE, UNTAGGED_SIZE,
     DdpSegment, HeaderError, decode_segment,
 )
-from ..mpa.connection import MpaConnection
+from ..mpa.connection import OPERATIONAL, MpaConnection
 from ..mpa.crc import CRC_SIZE, CrcError, append_crc, split_and_verify
 from ..rdmap.engine import RdmapRx, RdmapTx
 from .cq import CompletionQueue
@@ -399,9 +400,7 @@ class UdQp(QueuePair):
             # cannot exist for a flooded destination.
             raise QpError("multicast requires an unreliable (UD) QP")
         costs = self.host.costs
-        cost = costs.ddp_tx_per_seg_ns + costs.crc_ns(len(seg.payload))
-        if seg.tagged:
-            cost += costs.ddp_tagged_validate_ns
+        cost = costs.ddp_tx_seg_ns(seg.tagged) + costs.crc_ns(len(seg.payload))
         if not self.reliable:
             # Fold the kernel sendto() path into the same charge so the
             # whole per-segment send cost is one CPU work item — the
@@ -409,12 +408,7 @@ class UdQp(QueuePair):
             # keeps the charged socket path: retransmissions must pay.)
             wire_len = seg.wire_size + CRC_SIZE
             nfrags = self.device.net.ip.fragments_needed(wire_len + UDP_HEADER)
-            cost += (
-                costs.syscall_ns
-                + costs.udp_tx_fixed_ns
-                + costs.copy_ns(wire_len)
-                + costs.ip_tx_per_frag_ns * nfrags
-            )
+            cost += costs.sendto_ns(wire_len, nfrags)
         self.host.cpu.submit(cost, self._emit, seg, dest)
 
     def _emit(self, seg: DdpSegment, dest: Address) -> None:
@@ -514,20 +508,67 @@ class UdQp(QueuePair):
             self.crc_drops += 1
             return
         costs = self.host.costs
-        cost = costs.ddp_rx_per_seg_ns + costs.crc_ns(len(data))
-        if seg.tagged:
-            cost += costs.ddp_tagged_validate_ns
-        else:
-            cost += costs.ddp_untagged_match_ns
-        cost += int(costs.placement_per_byte_ns * len(seg.payload))
+        cost = costs.ddp_rx_seg_ns(seg.tagged, len(seg.payload)) + costs.crc_ns(len(data))
         self.host.cpu.submit(cost, self.rx.on_segment, seg, src)
 
     def _release_channel(self) -> None:
         self._sock.close()
 
 
+class _MpaLlp:
+    """RC over TCP: MPA frames each DDP segment into the byte stream
+    (markers, FPDU CRC) and must finish negotiating before RTS."""
+
+    proto = "tcp"
+    error = TcpError
+    setup_failure = "MPA negotiation failed"
+
+    def __init__(self, qp: RcQp, mpa: MpaConnection) -> None:
+        self.mpa = mpa
+        self.ready = mpa.ready
+        self.max_ulpdu = qp.device.rc_mulpdu
+        self.frame_cost_ns = mpa.frame_cost_ns
+        self.send = mpa.emit_ulpdu_now
+        self.close = mpa.close
+        mpa.on_ulpdu = qp._on_ulpdu
+        mpa.on_error = lambda exc: qp._enter_error(str(exc))
+
+    def is_open(self) -> bool:
+        return self.mpa.state == OPERATIONAL
+
+
+class _SctpLlp:
+    """RC over SCTP (RFC 5043 shape): SCTP's message boundaries replace
+    the entire MPA layer and its built-in CRC32c the FPDU CRC, so
+    framing costs nothing."""
+
+    proto = "sctp"
+    error = SctpError
+    setup_failure = "SCTP association failed"
+
+    def __init__(self, qp: RcQp, assoc: SctpAssociation) -> None:
+        self.assoc = assoc
+        self.ready = assoc.established
+        self.max_ulpdu = assoc.max_message
+        self.send = assoc.send_message
+        self.close = assoc.shutdown
+        assoc.on_message = qp._on_ulpdu
+
+    @staticmethod
+    def frame_cost_ns(ulpdu_len: int) -> int:
+        return 0
+
+    def is_open(self) -> bool:
+        return self.assoc.state != SCTP_CLOSED
+
+
 class RcQp(QueuePair):
-    """Connected QP over MPA/TCP — the traditional iWARP baseline."""
+    """Connected QP — the traditional iWARP baseline — over either LLP
+    the standard allows: TCP+MPA or SCTP.  The LLP is picked once, at
+    construction; everything else (in-order MSN matching, fatal stream
+    errors, the RC software stack's tagged staging) is this one QP, so
+    comparing the two isolates exactly the TCP-adaptation overhead the
+    paper discusses in §IV.A."""
 
     is_datagram = False
     OBS_FIELDS = QueuePair.OBS_FIELDS + (
@@ -540,21 +581,21 @@ class RcQp(QueuePair):
         pd: int,
         sq_cq: CompletionQueue,
         rq_cq: CompletionQueue,
-        mpa: MpaConnection,
+        llp: Union[MpaConnection, SctpAssociation],
         remote: Address,
     ) -> None:
         super().__init__(device, pd, sq_cq, rq_cq)
-        self.mpa = mpa
         self.remote = remote
-        self._max_seg = device.rc_mulpdu - MAX_HEADER
         self.terminate_send_failures = 0
-        mpa.on_ulpdu = self._on_ulpdu
-        mpa.on_error = lambda exc: self._enter_error(str(exc))
-        mpa.ready.add_callback(self._on_mpa_ready)
+        self.llp: Union[_MpaLlp, _SctpLlp] = (
+            _MpaLlp(self, llp) if isinstance(llp, MpaConnection) else _SctpLlp(self, llp)
+        )
+        self._max_seg = self.llp.max_ulpdu - MAX_HEADER
+        self.llp.ready.add_callback(self._on_llp_ready)
 
-    def _on_mpa_ready(self, result: Optional[object]) -> None:
+    def _on_llp_ready(self, result: Optional[object]) -> None:
         if result is None:
-            self._enter_error("MPA negotiation failed")
+            self._enter_error(self.llp.setup_failure)
             return
         self._set_state(RTS)
         if not self.ready.done:
@@ -570,32 +611,31 @@ class RcQp(QueuePair):
         self, seg: DdpSegment, dest: Optional[Address], first: bool = True, msg_len: int = 0
     ) -> None:
         costs = self.host.costs
-        cost = costs.ddp_tx_per_seg_ns
-        if seg.tagged:
-            cost += costs.ddp_tagged_validate_ns
+        cost = costs.ddp_tx_seg_ns(seg.tagged)
         if first:
-            # One send() call covers the whole message's FPDU train
-            # (writev batching): syscall + kernel fixed + user->kernel copy.
-            cost += costs.syscall_ns + costs.tcp_tx_fixed_ns + costs.copy_ns(msg_len)
-        cost += self.mpa.frame_cost_ns(seg.wire_size)
+            # One send() call covers the whole message's segment train
+            # (writev batching).
+            cost += costs.send_call_ns(msg_len)
+        cost += self.llp.frame_cost_ns(seg.wire_size)
         self.host.cpu.submit(cost, self._emit, seg)
 
     def _emit(self, seg: DdpSegment) -> None:
-        if self.mpa.state != "OPERATIONAL":
+        llp = self.llp
+        if not llp.is_open():
             return
         if self.state == ERROR and seg.opcode != OP_TERMINATE:
             # Once errored only the TERMINATE notification may leave.
             return
         wr_span(
-            self.host, "wire", qp=self.qp_num, proto="tcp",
+            self.host, "wire", qp=self.qp_num, proto=llp.proto,
             msg_id=seg.msg_id, last=seg.last,
         )
         try:
-            self.mpa.emit_ulpdu_now(seg.encode())
-        except TcpError:
-            # The application half-closed the stream under a queued
-            # TERMINATE: the peer notification is lost, the QP is
-            # already in ERROR.  Any other segment is a real fault.
+            llp.send(seg.encode())
+        except llp.error:
+            # The application closed the LLP under a queued TERMINATE:
+            # the peer notification is lost, the QP is already in ERROR.
+            # Any other segment is a real fault.
             if seg.opcode != OP_TERMINATE:
                 raise
             self.terminate_send_failures += 1
@@ -609,120 +649,13 @@ class RcQp(QueuePair):
             self.terminate("malformed DDP segment")
             return
         costs = self.host.costs
-        cost = costs.ddp_rx_per_seg_ns
-        if seg.tagged:
-            cost += costs.ddp_tagged_validate_ns
-            # The RC software stack stages tagged payloads through an
-            # intermediate buffer (CALIBRATED — see CostModel).
-            cost += int(
-                (costs.placement_per_byte_ns + costs.rc_tagged_staging_per_byte_ns)
-                * len(seg.payload)
-            )
-        else:
-            cost += costs.ddp_untagged_match_ns
-            cost += int(costs.placement_per_byte_ns * len(seg.payload))
+        # The RC software stack stages tagged payloads through an
+        # intermediate buffer (CALIBRATED — see CostModel).
+        cost = costs.ddp_rx_seg_ns(seg.tagged, len(seg.payload), staged=True)
         if seg.last:
             # The user-space library's per-message recv/select syscalls.
             cost += costs.tcp_rx_syscalls_per_msg * costs.syscall_ns
         self.host.cpu.submit(cost, self.rx.on_segment, seg, self.remote)
 
     def _release_channel(self) -> None:
-        self.mpa.close()
-
-
-class RcSctpQp(QueuePair):
-    """Connected QP over SCTP — the standard's other LLP (RFC 5043
-    shape): SCTP's own message boundaries replace the entire MPA layer,
-    and its built-in CRC32c replaces the DDP-level CRC.  Everything else
-    (in-order MSN matching, fatal stream errors, the RC software stack's
-    tagged staging) matches the TCP-based RC QP, so comparing the two
-    isolates exactly the TCP-adaptation overhead the paper discusses in
-    §IV.A."""
-
-    is_datagram = False
-    OBS_FIELDS = RcQp.OBS_FIELDS
-
-    def __init__(
-        self,
-        device: RnicDevice,
-        pd: int,
-        sq_cq: CompletionQueue,
-        rq_cq: CompletionQueue,
-        assoc: SctpAssociation,
-        remote: Address,
-    ) -> None:
-        super().__init__(device, pd, sq_cq, rq_cq)
-        self.assoc = assoc
-        self.remote = remote
-        self._max_seg = assoc.max_message - MAX_HEADER
-        self.terminate_send_failures = 0
-        assoc.on_message = self._on_message
-        assoc.established.add_callback(self._on_assoc_ready)
-
-    def _on_assoc_ready(self, result: Optional[object]) -> None:
-        if result is None:
-            self._enter_error("SCTP association failed")
-            return
-        self._set_state(RTS)
-        if not self.ready.done:
-            self.ready.set_result(self)
-
-    @property
-    def max_seg_payload(self) -> int:
-        return self._max_seg
-
-    # -- transmit ---------------------------------------------------------
-
-    def channel_send(
-        self, seg: DdpSegment, dest: Optional[Address], first: bool = True, msg_len: int = 0
-    ) -> None:
-        costs = self.host.costs
-        cost = costs.ddp_tx_per_seg_ns
-        if seg.tagged:
-            cost += costs.ddp_tagged_validate_ns
-        if first:
-            cost += costs.syscall_ns + costs.tcp_tx_fixed_ns + costs.copy_ns(msg_len)
-        self.host.cpu.submit(cost, self._emit, seg)
-
-    def _emit(self, seg: DdpSegment) -> None:
-        if self.assoc.state == "CLOSED":
-            return
-        if self.state == ERROR and seg.opcode != OP_TERMINATE:
-            return
-        wr_span(
-            self.host, "wire", qp=self.qp_num, proto="sctp",
-            msg_id=seg.msg_id, last=seg.last,
-        )
-        try:
-            self.assoc.send_message(seg.encode())
-        except SctpError:
-            # Shut down under a queued TERMINATE (see RcQp._emit).
-            if seg.opcode != OP_TERMINATE:
-                raise
-            self.terminate_send_failures += 1
-
-    # -- receive ------------------------------------------------------------
-
-    def _on_message(self, data: bytes) -> None:
-        try:
-            seg = decode_segment(data, ud=False)
-        except HeaderError:
-            self.terminate("malformed DDP segment")
-            return
-        costs = self.host.costs
-        cost = costs.ddp_rx_per_seg_ns
-        if seg.tagged:
-            cost += costs.ddp_tagged_validate_ns
-            cost += int(
-                (costs.placement_per_byte_ns + costs.rc_tagged_staging_per_byte_ns)
-                * len(seg.payload)
-            )
-        else:
-            cost += costs.ddp_untagged_match_ns
-            cost += int(costs.placement_per_byte_ns * len(seg.payload))
-        if seg.last:
-            cost += costs.tcp_rx_syscalls_per_msg * costs.syscall_ns
-        self.host.cpu.submit(cost, self.rx.on_segment, seg, self.remote)
-
-    def _release_channel(self) -> None:
-        self.assoc.shutdown()
+        self.llp.close()

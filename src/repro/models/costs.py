@@ -16,9 +16,14 @@ This module centralizes those costs.  Each constant is either
   in the comment).  EXPERIMENTS.md records how well the resulting shapes
   match.
 
-Charging points (who pays what) are documented on each field; the
-protocol implementations in :mod:`repro.transport` and :mod:`repro.core`
-consult exactly these fields, so re-calibrating the model re-shapes every
+Charging points (who pays what) are documented on each field.  A
+formula that more than one path charges is stated once, as a path-step
+method: :meth:`CostModel.send_call_ns` (one ``send()`` on a connected
+socket), :meth:`CostModel.sendto_ns` (one UDP ``sendto()``),
+:meth:`CostModel.ddp_tx_seg_ns` and :meth:`CostModel.ddp_rx_seg_ns`
+(one DDP segment out and in).  The protocol implementations in
+:mod:`repro.transport` and :mod:`repro.core` consult exactly these
+fields and methods, so re-calibrating the model re-shapes every
 experiment coherently.
 """
 
@@ -168,6 +173,45 @@ class CostModel:
 
     def copy_ns(self, nbytes: int) -> int:
         return int(self.copy_per_byte_ns * nbytes)
+
+    # ------------------------------------------------------------------
+    # Path steps charged from more than one site
+    # ------------------------------------------------------------------
+    def send_call_ns(self, nbytes: int) -> int:
+        """One ``send()`` on a connected socket: syscall + kernel fixed
+        cost + user->kernel copy.  The RC QPs pay it once per message
+        (the library batches a message's segments into one call)."""
+        return self.syscall_ns + self.tcp_tx_fixed_ns + self.copy_ns(nbytes)
+
+    def sendto_ns(self, nbytes: int, nfrags: int) -> int:
+        """One ``sendto()`` through UDP/IP: syscall + kernel fixed cost +
+        copy + per-fragment IP transmit work."""
+        return (
+            self.syscall_ns + self.udp_tx_fixed_ns + self.copy_ns(nbytes)
+            + self.ip_tx_per_frag_ns * nfrags
+        )
+
+    def ddp_tx_seg_ns(self, tagged: bool) -> int:
+        """Building one outgoing DDP segment (plus STag validation on
+        the tagged model)."""
+        if tagged:
+            return self.ddp_tx_per_seg_ns + self.ddp_tagged_validate_ns
+        return self.ddp_tx_per_seg_ns
+
+    def ddp_rx_seg_ns(self, tagged: bool, nbytes: int, staged: bool = False) -> int:
+        """Parsing one incoming DDP segment and placing its ``nbytes`` of
+        payload.  ``staged`` adds the RC software stack's tagged staging
+        pass (:attr:`rc_tagged_staging_per_byte_ns`), summed per byte
+        before the one truncation."""
+        if not tagged:
+            return (
+                self.ddp_rx_per_seg_ns + self.ddp_untagged_match_ns
+                + int(self.placement_per_byte_ns * nbytes)
+            )
+        per_byte = self.placement_per_byte_ns
+        if staged:
+            per_byte += self.rc_tagged_staging_per_byte_ns
+        return self.ddp_rx_per_seg_ns + self.ddp_tagged_validate_ns + int(per_byte * nbytes)
 
     def with_overrides(self, **kw) -> "CostModel":
         """A copy of this model with selected fields replaced (ablations)."""

@@ -35,11 +35,6 @@ class Platform:
         """The 10-GigE two-node platform of §VI."""
         return cls()
 
-    @classmethod
-    def wan_like(cls, delay_us: int = 20_000) -> "Platform":
-        """A WAN-ish variant (longer propagation) for loss studies."""
-        return cls(link_delay_ns=delay_us * 1000)
-
 
 def paper_defaults() -> tuple:
     """(Platform, CostModel) as used by every figure reproduction."""

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 # Convenient time-unit multipliers (all in nanoseconds).
 NS = 1
@@ -150,15 +150,6 @@ class Timeout:
         self.delay = int(delay)
 
 
-class AnyOf:
-    """Wait for the first of several futures; yields ``(index, value)``."""
-
-    __slots__ = ("futures",)
-
-    def __init__(self, futures: Iterable[Future]):
-        self.futures = list(futures)
-
-
 class Process:
     """Drives a generator coroutine inside the simulation.
 
@@ -166,7 +157,6 @@ class Process:
 
     * an ``int`` or :class:`Timeout` — sleep,
     * a :class:`Future` — wait for its value (sent back into the generator),
-    * an :class:`AnyOf` — wait for the first of several futures,
     * another :class:`Process` — wait for it to finish (its return value is
       sent back).
 
@@ -201,27 +191,10 @@ class Process:
             yielded.add_callback(self._step)
         elif isinstance(yielded, Process):
             yielded.finished.add_callback(self._step)
-        elif isinstance(yielded, AnyOf):
-            self._wait_any(yielded)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported value {yielded!r}"
             )
-
-    def _wait_any(self, anyof: AnyOf) -> None:
-        fired = {"done": False}
-
-        def make_cb(i: int) -> Callable[[Any], None]:
-            def cb(value: Any) -> None:
-                if fired["done"]:
-                    return
-                fired["done"] = True
-                self._step((i, value))
-
-            return cb
-
-        for i, fut in enumerate(anyof.futures):
-            fut.add_callback(make_cb(i))
 
 
 #: Heap entry: ``(time, seq, event)``.  Ordering is settled by the two
@@ -322,9 +295,6 @@ class Simulator:
 
     def process(self, gen: Generator[Any, Any, Any], name: str = "") -> Process:
         return Process(self, gen, name)
-
-    def any_of(self, futures: Iterable[Future]) -> AnyOf:
-        return AnyOf(futures)
 
     # -- running ---------------------------------------------------------
 

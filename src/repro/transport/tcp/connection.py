@@ -3,8 +3,8 @@
 A deliberately faithful (if SACK-less) TCP: three-way handshake, MSS
 segmentation, sliding window against both the peer's advertised window
 and Reno's cwnd, cumulative ACKs with duplicate-ACK fast retransmit,
-RFC 6298 retransmission timeouts with Karn's rule, optional Nagle, and
-orderly FIN teardown.
+RFC 6298 retransmission timeouts with Karn's rule, and orderly FIN
+teardown.
 
 Faithfulness matters to the reproduction: the paper's case for
 datagram-iWARP rests on what connection-oriented transports *do* — ACK
@@ -107,7 +107,6 @@ class TcpConnection:
         remote: Tuple[int, int],
         iss: int,
         mss: int,
-        nagle: bool = False,
         rcvbuf_bytes: int = 16 * 1024 * 1024,
     ):
         self.stack = stack
@@ -115,7 +114,6 @@ class TcpConnection:
         self.local_port = local_port
         self.remote = remote
         self.mss = mss
-        self.nagle = nagle
         self.state = CLOSED
 
         # Send side.
@@ -274,9 +272,6 @@ class TcpConnection:
             allowance = self.cong.send_allowance(self.flight_size(), self.peer_window)
             if unsent > 0 and allowance > 0:
                 take = min(unsent, allowance, self.mss)
-                if self.nagle and take < self.mss and self.flight_size() > 0:
-                    # Nagle: hold sub-MSS data while anything is unacked.
-                    break
                 off = self._snd_head + self.snd_nxt - self._snd_base
                 # One copy, not two: a memoryview slice is zero-copy and
                 # bytes() materializes the immutable segment payload.

@@ -108,11 +108,7 @@ class TcpStack:
 
     def charge_send_call(self, nbytes: int, then: Callable, *args) -> None:
         """syscall + user→kernel copy for one send() call."""
-        costs = self.host.costs
-        self.host.cpu.submit(
-            costs.syscall_ns + costs.tcp_tx_fixed_ns + costs.copy_ns(nbytes),
-            then, *args,
-        )
+        self.host.cpu.submit(self.host.costs.send_call_ns(nbytes), then, *args)
 
     # -- receive path ---------------------------------------------------------
 

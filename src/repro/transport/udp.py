@@ -205,12 +205,7 @@ class UdpStack:
             checksummed=self.checksum_enabled,
         )
         nfrags = self.ip.fragments_needed(dgram.size)
-        cost = (
-            costs.syscall_ns
-            + costs.copy_ns(len(data))
-            + costs.udp_tx_fixed_ns
-            + costs.ip_tx_per_frag_ns * nfrags
-        )
+        cost = costs.sendto_ns(len(data), nfrags)
         if self.checksum_enabled:
             cost += int(costs.udp_checksum_per_byte_ns * len(data))
         self.host.cpu.submit(cost, self.ip.send, dst_host, "udp", dgram, dgram.size)

@@ -47,10 +47,6 @@ class TestPlatform:
         assert p.link_bandwidth_bps == 10e9
         assert p.mtu == 1500
 
-    def test_wan_variant(self):
-        p = Platform.wan_like(delay_us=5000)
-        assert p.link_delay_ns == 5_000_000
-
     def test_paper_defaults_pair(self):
         platform, costs = paper_defaults()
         assert isinstance(platform, Platform)

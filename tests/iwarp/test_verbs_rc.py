@@ -1,4 +1,8 @@
-"""Connected (RC) verbs tests: the traditional iWARP baseline."""
+"""Connected (RC) verbs tests: the traditional iWARP baseline.
+
+Every test runs over both LLPs: the plain classes over TCP+MPA, the
+``...OverSctp`` subclasses at the end over SCTP (the same QP, minus
+MPA)."""
 
 import pytest
 
@@ -17,24 +21,30 @@ RUN_LIMIT = 600 * SEC
 
 
 @pytest.fixture
-def rc(zero_testbed, zero_devices):
-    """An established RC pair (host0 active, host1 passive)."""
-    return _establish(zero_testbed, zero_devices)
+def transport():
+    """The LLP under test; the ``...OverSctp`` classes below override it."""
+    return "tcp"
 
 
 @pytest.fixture
-def rc_metrics():
+def rc(zero_testbed, zero_devices, transport):
+    """An established RC pair (host0 active, host1 passive)."""
+    return _establish(zero_testbed, zero_devices, transport)
+
+
+@pytest.fixture
+def rc_metrics(transport):
     """The same RC pair on a testbed with the metrics registry enabled."""
     tb = build_testbed(2, costs=zero_cost_model(), metrics=True)
-    return _establish(tb, [RnicDevice(n) for n in install_stacks(tb)])
+    return _establish(tb, [RnicDevice(n) for n in install_stacks(tb)], transport)
 
 
-def _establish(testbed, devices):
+def _establish(testbed, devices, transport):
     devA, devB = devices
     pdA, pdB = devA.alloc_pd(), devB.alloc_pd()
     cqA, cqB = devA.create_cq(), devB.create_cq()
-    listener = devB.rc_listen(4791, pdB, lambda: cqB)
-    qpA = devA.rc_connect((1, 4791), pdA, cqA)
+    listener = devB.rc_listen(4791, pdB, lambda: cqB, transport=transport)
+    qpA = devA.rc_connect((1, 4791), pdA, cqA, transport=transport)
     accepted = listener.accept_future()
     testbed.sim.run_until(qpA.ready, limit=RUN_LIMIT)
     testbed.sim.run_until(accepted, limit=RUN_LIMIT)
@@ -52,33 +62,42 @@ def _poll(env, side, timeout=5000 * MS):
 
 
 class TestConnection:
-    def test_establishment(self, rc):
-        assert rc["qps"][0].state == "RTS"
-        assert rc["qps"][1].state == "RTS"
+    def test_establishment(self, rc, transport):
+        for qp in rc["qps"]:
+            assert qp.state == "RTS"
+            assert qp.llp.proto == transport
 
-    def test_connect_to_missing_listener_never_ready(self, zero_testbed, zero_devices):
+    def test_connect_to_missing_listener_never_ready(
+        self, zero_testbed, zero_devices, transport
+    ):
         devA, _ = zero_devices
         pd = devA.alloc_pd()
-        qp = devA.rc_connect((1, 9999), pd, devA.create_cq())
+        qp = devA.rc_connect((1, 9999), pd, devA.create_cq(), transport=transport)
         zero_testbed.sim.run(until=5 * SEC)
         assert not qp.ready.done or qp.ready.value is None
 
-    def test_multiple_connections_same_listener(self, zero_testbed, zero_devices):
+    def test_multiple_connections_same_listener(
+        self, zero_testbed, zero_devices, transport
+    ):
         devA, devB = zero_devices
         pdA, pdB = devA.alloc_pd(), devB.alloc_pd()
-        devB.rc_listen(4791, pdB, devB.create_cq)
-        qps = [devA.rc_connect((1, 4791), pdA, devA.create_cq()) for _ in range(3)]
+        devB.rc_listen(4791, pdB, devB.create_cq, transport=transport)
+        qps = [
+            devA.rc_connect((1, 4791), pdA, devA.create_cq(), transport=transport)
+            for _ in range(3)
+        ]
         for qp in qps:
             zero_testbed.sim.run_until(qp.ready, limit=RUN_LIMIT)
             assert qp.state == "RTS"
 
     def test_terminate_on_half_closed_stream_is_counted(self, rc_metrics):
-        """A TERMINATE queued after the application half-closed the
-        stream cannot leave: it is counted, never raised out of the
-        event loop, and the QP still reaches ERROR."""
+        """A TERMINATE queued after the application closed the LLP (a
+        half-closed TCP stream, a shut-down SCTP association) cannot
+        leave: it is counted, never raised out of the event loop, and
+        the QP still reaches ERROR."""
         rc = rc_metrics
         qp = rc["qps"][0]
-        qp.mpa.close()
+        qp.llp.close()
         qp.terminate("local fatal error")
         assert qp.state == "ERROR"
         rc["sim"].run(until=rc["sim"].now + 1 * SEC)
@@ -278,3 +297,25 @@ class TestRdmaRead:
         ))
         wcs = _poll(rc, 0)
         assert wcs[0].status is WcStatus.LOCAL_PROTECTION_ERROR
+
+
+class _OverSctp:
+    @pytest.fixture
+    def transport(self):
+        return "sctp"
+
+
+class TestConnectionOverSctp(_OverSctp, TestConnection):
+    pass
+
+
+class TestSendRecvOverSctp(_OverSctp, TestSendRecv):
+    pass
+
+
+class TestRdmaWriteOverSctp(_OverSctp, TestRdmaWrite):
+    pass
+
+
+class TestRdmaReadOverSctp(_OverSctp, TestRdmaRead):
+    pass

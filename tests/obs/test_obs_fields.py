@@ -48,5 +48,4 @@ def test_walk_finds_every_exporting_class():
         "repro.core.verbs.qp.QueuePair",
         "repro.core.verbs.qp.UdQp",
         "repro.core.verbs.qp.RcQp",
-        "repro.core.verbs.qp.RcSctpQp",
     }

@@ -291,20 +291,6 @@ class TestProcesses:
         sim.run()
         assert p.result == 250
 
-    def test_any_of_resumes_on_first(self):
-        sim = Simulator()
-        f1, f2 = sim.future(), sim.future()
-
-        def proc():
-            index, value = yield sim.any_of([f1, f2])
-            return (index, value, sim.now)
-
-        p = sim.process(proc())
-        sim.schedule(30, f2.set_result, "second")
-        sim.schedule(60, f1.set_result, "first")
-        sim.run()
-        assert p.result == (1, "second", 30)
-
     def test_unsupported_yield_raises(self):
         sim = Simulator()
 

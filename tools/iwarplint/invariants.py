@@ -133,7 +133,6 @@ WIRE_FORMATS: Dict[str, Dict[str, int]] = {
     },
     "repro.core.mpa.fpdu": {
         "!H": 2,  # MPA ULPDU length prefix
-        "!I": 4,  # CRC trailer re-read at the receiver
     },
     "repro.core.mpa.connection": {
         "!HBB4x": 8,  # private negotiation frame: magic, type, flags, pad
