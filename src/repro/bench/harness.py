@@ -30,7 +30,8 @@ from ..models.costs import CostModel
 from ..models.platform import Platform
 from ..obs import Registry
 from ..simnet.engine import MS, SEC, Simulator
-from ..simnet.loss import BernoulliLoss, LossModel
+from ..simnet.faults import FaultModel
+from ..simnet.loss import BernoulliLoss
 from ..simnet.topology import Testbed, build_testbed
 from ..simnet.trace import Tracer
 from ..transport.stacks import install_stacks
@@ -72,7 +73,7 @@ class VerbsEndpointPair:
         mode: str,
         platform: Optional[Platform] = None,
         costs: Optional[CostModel] = None,
-        loss: Optional[LossModel] = None,
+        loss: Optional[FaultModel] = None,
         loss_on_host: int = 0,
         markers: bool = True,
         rd_opts: Optional[dict] = None,

@@ -137,9 +137,10 @@ def decode_segment(data: bytes, ud: Optional[bool] = None) -> DdpSegment:
     """Parse a DDP segment.
 
     The UD extension's presence is carried in the flags byte; the
-    optional ``ud`` argument cross-checks it (a UD channel receiving a
-    segment without the extension is malformed, and vice versa for
-    non-Write-Record RC traffic).
+    optional ``ud`` argument cross-checks it: a UD channel (``True``)
+    receiving a segment without the extension is malformed, and so is a
+    reliable channel (``False``) receiving one with it on anything but
+    Write-Record.
     """
     if len(data) < CTRL_SIZE:
         raise HeaderError(f"segment of {len(data)} bytes has no control header")
@@ -149,6 +150,8 @@ def decode_segment(data: bytes, ud: Optional[bool] = None) -> DdpSegment:
     has_udext = bool(flags & FLAG_UDEXT)
     if ud is True and not has_udext:
         raise HeaderError("datagram segment missing UD extension header")
+    if ud is False and has_udext and opcode != OP_WRITE_RECORD:
+        raise HeaderError(f"UD extension header on {OPCODE_NAMES.get(opcode, opcode)} over RC")
     off = CTRL_SIZE
     seg = DdpSegment(opcode=opcode, last=last, payload=b"", tagged=tagged)
     if tagged:

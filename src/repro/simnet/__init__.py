@@ -10,12 +10,12 @@ links.
 from .cpu import CpuResource
 from .engine import MS, NS, SEC, US, Event, Future, Process, SimulationError, Simulator, Timeout
 from .faults import (
-    DelayJitter, Duplicate, FaultModel, FaultPipeline, LinkFlap, LossFault,
-    Reorder, seeded_chaos,
+    DelayJitter, Duplicate, FaultModel, FaultPipeline, LinkFlap, Reorder,
+    seeded_chaos,
 )
 from .host import Host
 from .link import Link
-from .loss import BernoulliLoss, BitErrorModel, ExplicitLoss, GilbertElliottLoss, LossModel, NoLoss, PatternLoss
+from .loss import BernoulliLoss, BitErrorModel, ExplicitLoss
 from .nic import NicPort, cable
 from .packet import BROADCAST, ETH_MTU, ETH_OVERHEAD, Frame, serialization_ns
 from .switch import Switch
@@ -27,9 +27,8 @@ __all__ = [
     "DelayJitter", "Duplicate", "ETH_MTU",
     "ETH_OVERHEAD", "Event", "ExplicitLoss", "FaultModel", "FaultPipeline",
     "Frame", "Future",
-    "GilbertElliottLoss", "Host", "Link", "LinkFlap", "LossFault",
-    "LossModel", "MS", "NS",
-    "NicPort", "NoLoss", "PatternLoss", "Process", "Reorder", "SEC",
+    "Host", "Link", "LinkFlap", "MS", "NS",
+    "NicPort", "Process", "Reorder", "SEC",
     "SimulationError",
     "Simulator", "Switch", "Testbed", "Timeout", "TraceRecord", "Tracer",
     "US", "build_testbed", "cable", "seeded_chaos", "serialization_ns",

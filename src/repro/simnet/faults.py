@@ -4,8 +4,9 @@ Loss (:mod:`repro.simnet.loss`) models the paper's ``tc`` drop
 configuration; real networks also **reorder**, **duplicate**, **delay**
 and **flap**.  The models here express those faults at the same
 injection point — the NIC egress queue, before any wire time is spent —
-so every experiment that sweeps loss can sweep the rest of the failure
-space too (the netem feature set, seeded and reproducible).
+and the loss models are stages of the same kind, so every experiment
+that sweeps loss can sweep the rest of the failure space too (the netem
+feature set, seeded and reproducible).
 
 A :class:`FaultModel` maps one offered frame to zero or more scheduled
 emissions ``(delay_ns, frame)``:
@@ -19,8 +20,8 @@ emissions ``(delay_ns, frame)``:
 
 Models compose with :class:`FaultPipeline`, which feeds each emission of
 one stage through the next and accumulates hold times.  Every model
-keeps the same ``seen``/``dropped`` counters as the loss models, plus
-model-specific ones (``reordered``, ``duplicated``, ``delayed``).  All
+keeps the same ``seen``/``dropped`` counters, plus model-specific ones
+(``reordered``, ``duplicated``, ``delayed``).  All
 randomness comes from per-model seeded :class:`random.Random` instances,
 so chaos runs are bit-for-bit reproducible.
 """
@@ -28,9 +29,8 @@ so chaos runs are bit-for-bit reproducible.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .loss import LossModel
 from .packet import Frame
 
 #: One scheduled emission: (extra delay before entering the egress
@@ -41,8 +41,8 @@ Emission = Tuple[int, Frame]
 class FaultModel:
     """Base class: maps one offered frame to scheduled emissions."""
 
-    #: The model's counters: zeroed by ``__init__`` and :meth:`reset`,
-    #: reported by :meth:`stats`.  Subclasses extend it with their own.
+    #: The model's counters: zeroed by ``__init__``, reported by
+    #: :meth:`stats`.  Subclasses extend it with their own.
     COUNTERS: Tuple[str, ...] = ("seen", "dropped")
 
     def __init__(self) -> None:
@@ -65,67 +65,24 @@ class FaultModel:
         the NIC port it is attached to."""
         return {name: getattr(self, name) for name in self.COUNTERS}
 
-    def reset(self) -> None:
-        """Restore the model to its initial state (reseeding RNGs)."""
-        for name in self.COUNTERS:
-            setattr(self, name, 0)
-
-
-class LossFault(FaultModel):
-    """Adapter: run any :class:`~repro.simnet.loss.LossModel` inside a
-    fault pipeline (so loss composes with reorder/dup/delay/flap)."""
-
-    def __init__(self, loss: LossModel):
-        super().__init__()
-        self.loss = loss
-
-    def _admit(self, frame: Frame, now: int) -> List[Emission]:
-        if self.loss.should_drop(frame):
-            return []
-        return [(0, frame)]
-
-    def reset(self) -> None:
-        super().reset()
-        self.loss.reset()
-
 
 class DelayJitter(FaultModel):
-    """Random per-frame hold time: uniform jitter in
-    ``[0, jitter_ns]`` plus, with probability ``spike_prob``, a latency
-    spike of ``spike_ns`` (a GC pause, a congested queue upstream...)."""
+    """Random per-frame hold time, uniform in ``[0, jitter_ns]``."""
 
-    COUNTERS = FaultModel.COUNTERS + ("delayed", "spikes")
+    COUNTERS = FaultModel.COUNTERS + ("delayed",)
 
-    def __init__(
-        self,
-        jitter_ns: int,
-        spike_ns: int = 0,
-        spike_prob: float = 0.0,
-        seed: int = 0,
-    ):
+    def __init__(self, jitter_ns: int, seed: int = 0):
         super().__init__()
-        if jitter_ns < 0 or spike_ns < 0:
+        if jitter_ns < 0:
             raise ValueError("delays must be non-negative")
-        if not 0.0 <= spike_prob <= 1.0:
-            raise ValueError(f"spike_prob must be in [0, 1], got {spike_prob}")
         self.jitter_ns = int(jitter_ns)
-        self.spike_ns = int(spike_ns)
-        self.spike_prob = spike_prob
-        self.seed = seed
         self._rng = random.Random(seed ^ 0xD31A)
 
     def _admit(self, frame: Frame, now: int) -> List[Emission]:
         delay = self._rng.randrange(self.jitter_ns + 1) if self.jitter_ns else 0
-        if self.spike_ns and self._rng.random() < self.spike_prob:
-            delay += self.spike_ns
-            self.spikes += 1
         if delay:
             self.delayed += 1
         return [(delay, frame)]
-
-    def reset(self) -> None:
-        super().reset()
-        self._rng = random.Random(self.seed ^ 0xD31A)
 
 
 class Reorder(FaultModel):
@@ -142,7 +99,6 @@ class Reorder(FaultModel):
             raise ValueError(f"hold_ns must be positive, got {hold_ns}")
         self.prob = prob
         self.hold_ns = int(hold_ns)
-        self.seed = seed
         self._rng = random.Random(seed ^ 0x0DD5)
 
     def _admit(self, frame: Frame, now: int) -> List[Emission]:
@@ -150,10 +106,6 @@ class Reorder(FaultModel):
             self.reordered += 1
             return [(self.hold_ns, frame)]
         return [(0, frame)]
-
-    def reset(self) -> None:
-        super().reset()
-        self._rng = random.Random(self.seed ^ 0x0DD5)
 
 
 class Duplicate(FaultModel):
@@ -167,7 +119,6 @@ class Duplicate(FaultModel):
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"prob must be in [0, 1], got {prob}")
         self.prob = prob
-        self.seed = seed
         self._rng = random.Random(seed ^ 0xD0B)
 
     def _admit(self, frame: Frame, now: int) -> List[Emission]:
@@ -175,10 +126,6 @@ class Duplicate(FaultModel):
             self.duplicated += 1
             return [(0, frame), (0, frame)]
         return [(0, frame)]
-
-    def reset(self) -> None:
-        super().reset()
-        self._rng = random.Random(self.seed ^ 0xD0B)
 
 
 class LinkFlap(FaultModel):
@@ -197,25 +144,6 @@ class LinkFlap(FaultModel):
                 raise ValueError(f"bad flap window ({down}, {up})")
             self.windows.append((int(down), int(up)))
         self.windows.sort()
-
-    @classmethod
-    def single(cls, down_ns: int, duration_ns: int) -> "LinkFlap":
-        """One flap: down at ``down_ns`` for ``duration_ns``."""
-        return cls([(down_ns, down_ns + duration_ns)])
-
-    @classmethod
-    def periodic(
-        cls, first_down_ns: int, duration_ns: int, period_ns: int, repeats: int
-    ) -> "LinkFlap":
-        """``repeats`` flaps of ``duration_ns`` every ``period_ns``."""
-        if period_ns <= 0 or repeats < 1:
-            raise ValueError("need a positive period and at least one flap")
-        return cls(
-            [
-                (first_down_ns + i * period_ns, first_down_ns + i * period_ns + duration_ns)
-                for i in range(repeats)
-            ]
-        )
 
     def is_down(self, now: int) -> bool:
         return any(down <= now < up for down, up in self.windows)
@@ -268,15 +196,10 @@ class FaultPipeline(FaultModel):
                 out[key] = out.get(key, 0) + value
         return out
 
-    def reset(self) -> None:
-        super().reset()
-        for stage in self.stages:
-            stage.reset()
-
 
 def seeded_chaos(
     seed: int,
-    loss: LossModel = None,
+    loss: Optional[FaultModel] = None,
     reorder_prob: float = 0.0,
     reorder_hold_ns: int = 0,
     dup_prob: float = 0.0,
@@ -287,7 +210,7 @@ def seeded_chaos(
     faults are enabled into one pipeline, all derived from ``seed``."""
     stages: List[FaultModel] = []
     if loss is not None:
-        stages.append(LossFault(loss))
+        stages.append(loss)
     if reorder_prob > 0.0:
         stages.append(Reorder(reorder_prob, reorder_hold_ns, seed=seed + 1))
     if dup_prob > 0.0:

@@ -6,59 +6,27 @@ hardware was configured to drop packets at a defined rate" (§VI.A.2).
 We attach loss models at the same point — the NIC egress queue — so a
 dropped packet never consumes wire time, exactly like ``tc`` netem.
 
-All models draw from their own seeded :class:`random.Random` so loss
-patterns are reproducible and independent of any other randomness.
-
-Every :class:`LossModel` exposes the same two counters — ``seen`` (all
-frames offered) and ``dropped`` (frames the model discarded) — kept by
-the shared base class; subclasses only implement the per-frame decision
-in :meth:`LossModel._decide`.
+A loss model is a :class:`~repro.simnet.faults.FaultModel` stage whose
+only effect is a drop: it emits the offered frame unchanged
+(``[(0, frame)]``) or not at all (``[]``).  So it attaches to a port on
+its own (:meth:`~repro.simnet.nic.NicPort.set_loss_model`) or composes
+with reorder/dup/delay/flap in a
+:class:`~repro.simnet.faults.FaultPipeline`, and keeps the shared
+``seen``/``dropped`` counters.  All models draw from their own seeded
+:class:`random.Random` so loss patterns are reproducible and independent
+of any other randomness.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Iterable, List
 
+from .faults import Emission, FaultModel
 from .packet import Frame
 
 
-class LossModel:
-    """Base class: decides, per frame, whether the egress queue drops it.
-
-    Maintains the uniform ``seen``/``dropped`` counters for every
-    subclass; the drop decision itself lives in :meth:`_decide`.  When
-    :meth:`_decide` runs, ``seen`` has already been incremented, so it
-    doubles as the 1-based index of the frame under consideration.
-    """
-
-    def __init__(self) -> None:
-        self.seen = 0
-        self.dropped = 0
-
-    def should_drop(self, frame: Frame) -> bool:
-        self.seen += 1
-        if self._decide(frame):
-            self.dropped += 1
-            return True
-        return False
-
-    def _decide(self, frame: Frame) -> bool:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Restore the model to its initial state (reseeding RNGs)."""
-        self.seen = 0
-        self.dropped = 0
-
-
-class NoLoss(LossModel):
-    """Lossless egress (the default)."""
-
-    def _decide(self, frame: Frame) -> bool:
-        return False
-
-
-class BernoulliLoss(LossModel):
+class BernoulliLoss(FaultModel):
     """Independent drop with probability ``rate`` — the model the paper's
     ``tc`` configuration implements (0.1 %, 0.5 %, 1 %, 5 % in Figs. 7–8)."""
 
@@ -67,117 +35,30 @@ class BernoulliLoss(LossModel):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"loss rate must be in [0, 1], got {rate}")
         self.rate = rate
-        self.seed = seed
         self._rng = random.Random(seed)
 
-    def _decide(self, frame: Frame) -> bool:
-        return self.rate > 0.0 and self._rng.random() < self.rate
-
-    def reset(self) -> None:
-        super().reset()
-        self._rng = random.Random(self.seed)
+    def _admit(self, frame: Frame, now: int) -> List[Emission]:
+        if self.rate > 0.0 and self._rng.random() < self.rate:
+            return []
+        return [(0, frame)]
 
 
-class GilbertElliottLoss(LossModel):
-    """Two-state bursty loss (good/bad channel).
-
-    WAN loss is bursty rather than independent; the Gilbert-Elliott model
-    is the standard way to express that.  ``p_gb``/``p_bg`` are the
-    per-frame transition probabilities good→bad and bad→good;
-    ``loss_good``/``loss_bad`` the drop probabilities within each state.
-    """
-
-    def __init__(
-        self,
-        p_gb: float,
-        p_bg: float,
-        loss_good: float = 0.0,
-        loss_bad: float = 1.0,
-        seed: int = 0,
-    ):
-        super().__init__()
-        for name, v in (
-            ("p_gb", p_gb),
-            ("p_bg", p_bg),
-            ("loss_good", loss_good),
-            ("loss_bad", loss_bad),
-        ):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        self.p_gb = p_gb
-        self.p_bg = p_bg
-        self.loss_good = loss_good
-        self.loss_bad = loss_bad
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self.bad = False
-
-    def average_loss_rate(self) -> float:
-        """Stationary loss rate implied by the chain parameters."""
-        denom = self.p_gb + self.p_bg
-        if denom == 0:
-            return self.loss_bad if self.bad else self.loss_good
-        pi_bad = self.p_gb / denom
-        return pi_bad * self.loss_bad + (1 - pi_bad) * self.loss_good
-
-    def _decide(self, frame: Frame) -> bool:
-        if self.bad:
-            if self._rng.random() < self.p_bg:
-                self.bad = False
-        else:
-            if self._rng.random() < self.p_gb:
-                self.bad = True
-        rate = self.loss_bad if self.bad else self.loss_good
-        return rate > 0.0 and self._rng.random() < rate
-
-    def reset(self) -> None:
-        super().reset()
-        self._rng = random.Random(self.seed)
-        self.bad = False
-
-
-class PatternLoss(LossModel):
-    """Deterministically drop every ``n``-th frame after ``offset``
-    (frame indices count from 1: the first drop hits frame
-    ``offset + every_nth``).
-
-    Used by tests that need exact, reproducible loss placement — e.g.
-    "drop precisely the last segment of a Write-Record message".
-    """
-
-    def __init__(self, every_nth: int, offset: int = 0):
-        super().__init__()
-        if every_nth < 1:
-            raise ValueError(f"every_nth must be >= 1, got {every_nth}")
-        if offset < 0:
-            raise ValueError(f"offset must be >= 0, got {offset}")
-        self.every_nth = every_nth
-        self.offset = offset
-
-    def _decide(self, frame: Frame) -> bool:
-        # ``seen`` was just incremented by the base class, so it is this
-        # frame's 1-based index.
-        return (
-            self.seen > self.offset
-            and (self.seen - self.offset) % self.every_nth == 0
-        )
-
-
-class ExplicitLoss(LossModel):
+class ExplicitLoss(FaultModel):
     """Drop exactly the frames whose 1-based egress index is listed.
 
     The sharpest tool for unit tests: "drop frames 3 and 7" is stated
     directly instead of being reverse-engineered from probabilities.
     """
 
-    def __init__(self, indices):
+    def __init__(self, indices: Iterable[int]):
         super().__init__()
         self.indices = set(int(i) for i in indices)
         if any(i < 1 for i in self.indices):
             raise ValueError("frame indices are 1-based")
 
-    def _decide(self, frame: Frame) -> bool:
-        return self.seen in self.indices
+    def _admit(self, frame: Frame, now: int) -> List[Emission]:
+        # ``admit`` counted this frame already: ``seen`` is its index.
+        return [] if self.seen in self.indices else [(0, frame)]
 
 
 class BitErrorModel:
@@ -195,7 +76,6 @@ class BitErrorModel:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"corruption rate must be in [0, 1], got {rate}")
         self.rate = rate
-        self.seed = seed
         self._rng = random.Random(seed ^ 0x5EED)
         self.corrupted = 0
         self.seen = 0
@@ -209,8 +89,3 @@ class BitErrorModel:
         flipped = bytearray(data)
         flipped[index] ^= 1 << self._rng.randrange(8)
         return bytes(flipped)
-
-    def reset(self) -> None:
-        self._rng = random.Random(self.seed ^ 0x5EED)
-        self.corrupted = 0
-        self.seen = 0

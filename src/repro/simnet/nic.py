@@ -5,8 +5,8 @@ front of the hardware, §VI.A.2), so the egress path is modelled
 explicitly:
 
 1. the protocol stack enqueues a frame (drop-tail if the queue is full,
-   loss-model drop if one is attached — both before any wire time is
-   spent, like ``tc``);
+   a drop by the loss model or the fault model if one is attached — all
+   before any wire time is spent, like ``tc``);
 2. an admitted frame's transmit schedule is fixed on the spot: the
    transmitter serializes frames back to back in admission order, so
    serialization starts at ``max(now, tx_free_at)`` and takes
@@ -33,16 +33,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional
 
-from typing import TYPE_CHECKING
-
 from ..obs import sim_registry
 from .engine import Simulator
+from .faults import FaultModel
 from .link import Link
-from .loss import LossModel, NoLoss
 from .packet import Frame
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .faults import FaultModel
 
 
 class NicPort:
@@ -78,8 +73,8 @@ class NicPort:
         self.name = name
         self.queue_frames = queue_frames
         self.link: Optional[Link] = None
-        self.loss_model: LossModel = NoLoss()
-        self.fault_model: Optional["FaultModel"] = None
+        self.loss_model: Optional[FaultModel] = None
+        self.fault_model: Optional[FaultModel] = None
         # Serialization start times of admitted frames that have not
         # started yet (the FIFO's occupants), oldest first.
         self._waiting: Deque[int] = deque()
@@ -109,7 +104,8 @@ class NicPort:
         """
         if self.link is None:
             raise RuntimeError(f"port {self.name!r} is not cabled to a link")
-        if self.loss_model.should_drop(frame):
+        loss = self.loss_model
+        if loss is not None and not loss.admit(frame, self.sim.now):
             self.drops_loss_model += 1
             if self.tracer:
                 self.tracer.record("drop.loss", port=self.name, frame=frame)
@@ -182,12 +178,15 @@ class NicPort:
 
     # -- configuration ----------------------------------------------------
 
-    def set_loss_model(self, model: LossModel) -> None:
+    def set_loss_model(self, model: Optional[FaultModel]) -> None:
+        """Attach a loss stage (``BernoulliLoss``, ``ExplicitLoss``):
+        only its drop decision is read, and its drops count as
+        ``drops_loss_model``.  None detaches."""
         self.loss_model = model
 
-    def set_fault_model(self, model: Optional["FaultModel"]) -> None:
+    def set_fault_model(self, model: Optional[FaultModel]) -> None:
         """Attach a composable fault model (reorder/dup/delay/flap) at
-        the same egress point as the loss model; None detaches."""
+        the same egress point, after the loss stage; None detaches."""
         self.fault_model = model
 
     def queue_depth(self) -> int:
@@ -199,9 +198,8 @@ class NicPort:
 
     @property
     def loss_stats(self) -> Optional[Dict[str, int]]:
-        """The loss model's counters, once it has seen a frame."""
-        model = self.loss_model
-        return {"seen": model.seen, "dropped": model.dropped} if model.seen else None
+        """The attached loss model's counters, if one is attached."""
+        return None if self.loss_model is None else self.loss_model.stats()
 
     @property
     def fault_stats(self) -> Optional[Dict[str, int]]:

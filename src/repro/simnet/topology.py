@@ -20,7 +20,6 @@ from .engine import Simulator
 from .faults import FaultModel
 from .host import Host
 from .link import Link
-from .loss import LossModel
 from .nic import cable
 from .switch import Switch
 
@@ -43,9 +42,10 @@ class Testbed:
         """The simulator's metrics registry (see :mod:`repro.obs`)."""
         return sim_registry(self.sim)
 
-    def set_egress_loss(self, host_index: int, model: LossModel) -> None:
-        """Drop frames leaving ``hosts[host_index]`` per ``model`` —
-        equivalent to the paper's ``tc`` FIFO-with-drop on that node."""
+    def set_egress_loss(self, host_index: int, model: Optional[FaultModel]) -> None:
+        """Drop frames leaving ``hosts[host_index]`` per the loss stage
+        ``model`` — equivalent to the paper's ``tc`` FIFO-with-drop on
+        that node.  ``None`` detaches."""
         self.hosts[host_index].port.set_loss_model(model)
 
     def set_egress_faults(self, host_index: int, model: Optional[FaultModel]) -> None:

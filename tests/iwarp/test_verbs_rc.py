@@ -6,6 +6,7 @@ MPA)."""
 
 import pytest
 
+from repro.core.ddp.headers import DdpSegment, OP_SEND, QN_SEND
 from repro.core.verbs import (
     QpError, RecvWR, SendWR, Sge, WcStatus, WrOpcode,
 )
@@ -154,6 +155,33 @@ class TestSendRecv:
         assert rc["qps"][1].state == "ERROR"
         # The terminate propagates back and errors the initiator too.
         assert rc["qps"][0].state == "ERROR"
+
+    def test_ud_extension_on_rc_send_terminates(self, rc):
+        """On RC only Write-Record carries the UD extension header: a
+        SEND with it is a malformed segment, not a delivered message."""
+        dst = rc["devs"][1].reg_mr(64, Access.local_only(), rc["pds"][1])
+        rc["qps"][1].post_recv(RecvWR(sges=[Sge(dst)]))
+        rogue = DdpSegment(opcode=OP_SEND, last=True, payload=b"x",
+                           qn=QN_SEND, msn=1, msg_id=1, msg_total=1)
+        rc["qps"][0].llp.send(rogue.encode())
+        rc["sim"].run(until=rc["sim"].now + 200 * MS)
+        assert rc["qps"][1].state == "ERROR"
+        assert rc["qps"][1].terminate_reason == "malformed DDP segment"
+
+    def test_write_record_keeps_its_ud_extension_on_rc(self, rc):
+        """Write-Record is valid over a reliable transport (§IV.B.3) and
+        is the one RC operation whose segments carry the extension."""
+        devA, devB = rc["devs"]
+        sink = devB.reg_mr(1024, Access.remote_write(), rc["pds"][1])
+        src = devA.reg_mr(bytearray(b"record"), Access.local_only(), rc["pds"][0])
+        rc["qps"][0].post_send(SendWR(
+            opcode=WrOpcode.RDMA_WRITE_RECORD, sges=[Sge(src)],
+            remote_stag=sink.stag, remote_offset=0, signaled=False,
+        ))
+        wcs = _poll(rc, 1)
+        assert wcs[0].ok and wcs[0].opcode is WrOpcode.RDMA_WRITE_RECORD
+        assert bytes(sink.view(0, 6)) == b"record"
+        assert rc["qps"][1].state == "RTS"
 
     def test_post_on_errored_qp_rejected(self, rc):
         devA, _ = rc["devs"]

@@ -5,9 +5,7 @@ import pytest
 from repro.simnet.engine import Simulator
 from repro.simnet.faults import FaultModel
 from repro.simnet.link import Link
-from repro.simnet.loss import (
-    BernoulliLoss, ExplicitLoss, GilbertElliottLoss, NoLoss, PatternLoss,
-)
+from repro.simnet.loss import BernoulliLoss, ExplicitLoss
 from repro.simnet.nic import NicPort, cable
 from repro.simnet.packet import ETH_MIN_PAYLOAD, ETH_OVERHEAD, Frame, serialization_ns
 from repro.simnet.switch import Switch
@@ -217,62 +215,39 @@ class TestNic:
         assert tracer.count("rx") == 1
 
 
+def _drops(model, n):
+    """The model's drop decisions for ``n`` offered frames, in order."""
+    return [not model.admit(_frame(), 0) for _ in range(n)]
+
+
 class TestLossModels:
     def test_no_loss(self):
-        model = NoLoss()
-        assert not any(model.should_drop(_frame()) for _ in range(100))
+        sim = Simulator()
+        pa, _, _, sink = _two_ports(sim)
+        assert pa.loss_model is None and pa.loss_stats is None  # lossless default
+        for _ in range(100):
+            pa.enqueue(_frame())
+        sim.run()
+        assert len(sink.got) == 100 and pa.drops_loss_model == 0
 
     def test_bernoulli_rate_statistics(self):
-        model = BernoulliLoss(0.1, seed=42)
-        drops = sum(model.should_drop(_frame()) for _ in range(20_000))
+        drops = sum(_drops(BernoulliLoss(0.1, seed=42), 20_000))
         assert 0.08 < drops / 20_000 < 0.12
 
     def test_bernoulli_reproducible(self):
         a = BernoulliLoss(0.3, seed=7)
         b = BernoulliLoss(0.3, seed=7)
-        pattern_a = [a.should_drop(_frame()) for _ in range(500)]
-        pattern_b = [b.should_drop(_frame()) for _ in range(500)]
-        assert pattern_a == pattern_b
-
-    def test_bernoulli_reset(self):
-        model = BernoulliLoss(0.5, seed=3)
-        first = [model.should_drop(_frame()) for _ in range(100)]
-        model.reset()
-        second = [model.should_drop(_frame()) for _ in range(100)]
-        assert first == second
-        assert model.seen == 100
+        assert _drops(a, 500) == _drops(b, 500)
 
     def test_bernoulli_validation(self):
         with pytest.raises(ValueError):
             BernoulliLoss(1.5)
 
     def test_zero_rate_never_drops(self):
-        model = BernoulliLoss(0.0, seed=1)
-        assert not any(model.should_drop(_frame()) for _ in range(1000))
-
-    def test_gilbert_elliott_burstiness(self):
-        model = GilbertElliottLoss(p_gb=0.01, p_bg=0.3, loss_bad=1.0, seed=5)
-        drops = [model.should_drop(_frame()) for _ in range(50_000)]
-        rate = sum(drops) / len(drops)
-        # Stationary rate ~ p_gb/(p_gb+p_bg) = 0.032
-        assert 0.02 < rate < 0.05
-        # Bursty: consecutive drops far likelier than independent model.
-        pairs = sum(1 for i in range(1, len(drops)) if drops[i] and drops[i - 1])
-        assert pairs > sum(drops) * rate * 2
-
-    def test_gilbert_average_loss_rate(self):
-        model = GilbertElliottLoss(p_gb=0.01, p_bg=0.99, loss_bad=1.0)
-        assert model.average_loss_rate() == pytest.approx(0.01, abs=0.001)
-
-    def test_pattern_loss(self):
-        model = PatternLoss(every_nth=3)
-        drops = [model.should_drop(_frame()) for _ in range(9)]
-        assert drops == [False, False, True] * 3
+        assert not any(_drops(BernoulliLoss(0.0, seed=1), 1000))
 
     def test_explicit_loss(self):
-        model = ExplicitLoss([2, 5])
-        drops = [model.should_drop(_frame()) for _ in range(6)]
-        assert drops == [False, True, False, False, True, False]
+        assert _drops(ExplicitLoss([2, 5]), 6) == [False, True, False, False, True, False]
 
     def test_explicit_loss_validates_indices(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ TOOLS = REPO_ROOT / "tools"
 if str(TOOLS) not in sys.path:
     sys.path.insert(0, str(TOOLS))
 
-from iwarplint import invariants as inv  # noqa: E402
 from iwarplint import lint_paths  # noqa: E402
 from iwarplint.driver import all_rules, module_name_for  # noqa: E402
 
@@ -92,7 +91,7 @@ class TestDriver:
     def test_all_rule_families_registered(self):
         table = all_rules()
         for code in ("IW001", "IW101", "IW102", "IW103", "IW201", "IW202",
-                     "IW203", "IW301", "IW302", "IW303", "IW401",
+                     "IW203", "IW401",
                      "IW402", "IW403", "IW501"):
             assert code in table
 
@@ -289,71 +288,6 @@ class TestFsm:
         def recycle(self):
             self._set_state(RESET)
     """,
-        })
-        assert lint_paths([root]) == []
-
-
-# ---------------------------------------------------------------------------
-# IW3xx — wire format
-# ---------------------------------------------------------------------------
-
-
-class TestWireFormat:
-    def test_undeclared_format_fires_iw301(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/core/ddp/headers.py": """
-                import struct
-
-                _ROGUE = struct.Struct("!HHI")  # not in the manifest
-            """,
-        })
-        (v,) = lint_paths([root])
-        assert v.rule == "IW301"
-        assert "!HHI" in v.message
-
-    def test_manifest_size_disagreement_fires_iw302(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(inv.WIRE_FORMATS["repro.core.ddp.headers"], "!BB", 3)
-        root = write_tree(tmp_path, {
-            "repro/core/ddp/headers.py": """
-                import struct
-
-                _CTRL = struct.Struct("!BB")
-            """,
-        })
-        (v,) = lint_paths([root])
-        assert v.rule == "IW302"
-        assert "packs 2 bytes" in v.message
-
-    def test_non_literal_format_fires_iw303(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/core/mpa/fpdu.py": """
-                import struct
-
-                def pack_len(fmt, n):
-                    return struct.pack(fmt, n)
-            """,
-        })
-        assert codes(lint_paths([root])) == ["IW303"]
-
-    def test_declared_formats_are_silent(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/transport/rudp.py": """
-                import struct
-
-                _HEADER = struct.Struct("!BQ")
-                _ACK_ECHO = struct.Struct("!Q")
-                _SACK_RANGE = struct.Struct("!QQ")
-            """,
-        })
-        assert lint_paths([root]) == []
-
-    def test_unwatched_modules_are_ignored(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/apps/tool.py": """
-                import struct
-
-                _ANYTHING = struct.Struct("!HHHH")
-            """,
         })
         assert lint_paths([root]) == []
 

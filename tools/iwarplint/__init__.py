@@ -11,8 +11,6 @@ invariants that ordinary linters cannot see but that the reproduction of
   attribute goes through a validated ``_set_state`` helper, and every
   statically-inferable transition is legal per the live machine each
   stack module declares (:class:`repro.core.fsm.Fsm`).
-* **Wire format** (IW3xx) — every ``struct`` format string in the
-  protocol modules matches the declared header manifest byte-for-byte.
 * **Determinism** (IW4xx) — no wall-clock reads, unseeded randomness, or
   set-ordering-dependent iteration inside the simulated stack, so that
   seeded runs (including PR 1's chaos tests) stay replayable.

@@ -1,11 +1,13 @@
 """Declarative invariants checked by iwarplint.
 
 This module is pure data: the layer order and import allowlist, the
-wire-format manifest, and the determinism ban lists.  The rule
+determinism ban lists and the metric factory names.  The rule
 implementations in :mod:`iwarplint.rules` interpret it; changing an
-invariant is a one-line edit here.  The FSM rules have no data here:
-they read the live machines each stack module declares once (see
-:mod:`repro.core.fsm`).
+invariant is a one-line edit here.  Two facts have no data here because
+each is declared once in the stack itself: the FSM rules read the live
+machines each stack module declares (see :mod:`repro.core.fsm`), and
+each wire layout is its module's ``struct.Struct``, pinned byte for
+byte by the golden vectors in ``tests/wire/``.
 """
 
 from __future__ import annotations
@@ -107,50 +109,6 @@ def layer_of(module: str) -> Optional[str]:
 
 FSM_STATE_ATTR = "state"
 FSM_HELPER = "_set_state"
-
-
-# ---------------------------------------------------------------------------
-# Wire format (IW3xx)
-# ---------------------------------------------------------------------------
-#
-# Every struct format string appearing in a watched module must be listed
-# here with the byte length the header requires (RFC 5040/5041/5044 plus
-# the paper's UD extensions).  ``struct.calcsize`` of the format must
-# equal the declared size, or the manifest has drifted from the code.
-
-WIRE_WATCHED_PREFIXES: Sequence[str] = ("repro.core", "repro.transport")
-
-WIRE_FORMATS: Dict[str, Dict[str, int]] = {
-    "repro.core.ddp.headers": {
-        "!BB": 2,  # DDP control: flags/opcode (RFC 5041 hdr head)
-        "!IQ": 12,  # tagged: STag + TO
-        "!III": 12,  # untagged: QN, MSN, MO
-        "!QQQ": 24,  # UD extension: msg id, length, offset (paper IV.B)
-        "!IQIIQ": 28,  # RDMA Read Request supplement
-    },
-    "repro.core.mpa.crc": {
-        "!I": 4,  # CRC32c trailer (RFC 5044)
-    },
-    "repro.core.mpa.fpdu": {
-        "!H": 2,  # MPA ULPDU length prefix
-    },
-    "repro.core.mpa.connection": {
-        "!HBB4x": 8,  # private negotiation frame: magic, type, flags, pad
-    },
-    "repro.core.mpa.markers": {
-        "!HH": 4,  # marker: reserved + FPDU back-pointer
-    },
-    "repro.core.socketif.interface": {
-        "!BIQ": 13,  # ring advertisement reply: type, STag, ring size
-        "!B": 1,  # message-type discriminator
-    },
-    "repro.transport.rudp": {
-        "!BQ": 9,  # RUDP header: kind + 64-bit sequence number
-        "!Q": 8,  # ACK echo: seq whose arrival triggered the ACK
-        "!QQ": 16,  # SACK range: inclusive [start, end]
-        "!BQQ": 17,  # SACK-less ACK fast path: header + echo in one pack
-    },
-}
 
 
 # ---------------------------------------------------------------------------

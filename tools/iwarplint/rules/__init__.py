@@ -2,8 +2,8 @@
 and ``check(module) -> Iterable[Violation]``.  Adding a family is: write
 the module, append it to ``FAMILIES``."""
 
-from iwarplint.rules import determinism, fsm, layering, metrics, wire
+from iwarplint.rules import determinism, fsm, layering, metrics
 
-FAMILIES = (layering, fsm, wire, determinism, metrics)
+FAMILIES = (layering, fsm, determinism, metrics)
 
-__all__ = ["FAMILIES", "layering", "fsm", "wire", "determinism", "metrics"]
+__all__ = ["FAMILIES", "layering", "fsm", "determinism", "metrics"]
